@@ -30,12 +30,13 @@ pub struct SearchModeRow {
     pub speedup: f64,
     /// Auto vs best-fixed-mode ratio (`{:.3}` in the artifact).
     pub auto_vs_best: f64,
-    /// Linear-search wall clock under the *scalar* kernel, seconds
-    /// (`{:.6}`). `None` in artifacts predating the packed kernels
-    /// (BENCH_07 and earlier); both packed fields are present together.
+    /// Linear-search wall clock under the scalar kernel, seconds
+    /// (`{:.6}`). Only BENCH_08 carries it: it is the one snapshot taken
+    /// while a packed bit-plane kernel existed to compare against. Both
+    /// kernel fields are present together or not at all.
     pub scalar_linear_wall_s: Option<f64>,
-    /// Packed-over-scalar speedup on the Linear scan (`{:.3}`): the
-    /// realized word-parallel kernel win this row, `None` pre-BENCH_08.
+    /// Packed-over-scalar speedup on the Linear scan (`{:.3}`); only in
+    /// BENCH_08, like `scalar_linear_wall_s`.
     pub packed_vs_scalar: Option<f64>,
 }
 
@@ -80,8 +81,8 @@ pub fn render(artifact: &SearchModeArtifact) -> String {
     s.push_str("  \"identity\": \"every row bit-identical (RunReport + output) across modes\",\n");
     s.push_str("  \"runs\": [\n");
     for (i, r) in artifact.rows.iter().enumerate() {
-        // The packed-kernel columns only render when measured, so
-        // pre-BENCH_08 artifacts keep round-tripping byte-identically.
+        // The kernel columns only render when present, so artifacts
+        // without them keep round-tripping byte-identically.
         let packed = match (r.scalar_linear_wall_s, r.packed_vs_scalar) {
             (Some(wall), Some(ratio)) => {
                 format!(", \"scalar_linear_wall_s\": {wall:.6}, \"packed_vs_scalar\": {ratio:.3}")

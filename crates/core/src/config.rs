@@ -106,11 +106,9 @@ pub struct GaasXConfig {
     /// modes.
     #[serde(default)]
     pub search_mode: SearchMode,
-    /// Host evaluation kernel for the device hot paths
-    /// ([`Kernel::Packed`] by default: word-parallel bit-plane CAM
-    /// matching and bit-sliced MAC accumulation, 64 rows per word).
-    /// Purely a functional-simulator speed knob: reports are
-    /// bit-identical in both kernels.
+    /// Accepted and ignored: the simulator has a single host kernel, so
+    /// this selects nothing (see [`Kernel`]). Kept so existing configs
+    /// and callers that set it still work.
     #[serde(default)]
     pub kernel: Kernel,
 }

@@ -1,8 +1,10 @@
 //! Graphs resident on crossbar banks across queries.
 //!
 //! A [`ResidentGraph`] keeps a programmed [`ShardedEngine`] alive between
-//! queries so consecutive queries skip partitioning and reuse the warm
-//! search memo; per-query accounting is wiped with
+//! queries so consecutive queries skip engine construction and reuse the
+//! warm search memo. They do not skip partitioning: [`Bfs`], [`Sssp`] and
+//! the batched BFS each call `partition_for_streaming` on the graph at
+//! every query. Per-query accounting is wiped with
 //! [`ShardedEngine::reset_accounting`] while device state — endurance
 //! wear, fault RNG streams, spare-row remaps — persists, exactly as it
 //! would on real hardware. Eviction drops the engines (freeing the

@@ -111,26 +111,6 @@ impl SearchCostModel {
         }
     }
 
-    /// [`calibrated`](Self::calibrated), adjusted for the host evaluation
-    /// kernel — which, per `results/BENCH_08.json`, means *not at all*:
-    /// the packed matcher evaluates 64 rows per plane word, but the
-    /// fitted `scan_row_ns` is not a literal compare cost. It absorbs the
-    /// per-search work the kernel cannot touch (hit-vector reset, stats,
-    /// memo lookkeeping, fault-RNG draws), and BENCH_08 measured the same
-    /// winner as the scalar BENCH_07 run on **every** row: fault rows
-    /// still favor Indexed 1.2–1.4× (the memo is off, so O(1) probes beat
-    /// even a word-parallel scan at high search volume) and fault-free
-    /// paper rows sit at parity. An earlier 1/16 scan discount flipped
-    /// paper dense/fault blocks to Linear and regressed Auto to 0.70–0.95×
-    /// of the better fixed mode; any discount past ~1.3× flips fault-row
-    /// frontier blocks first. Decision identity across kernels is also
-    /// what keeps `Auto` runs bit-identical in *schedule* regardless of
-    /// the host kernel a replay happens to use.
-    pub fn calibrated_for(energy: &DeviceEnergyModel, kernel: crate::Kernel) -> Self {
-        let _ = kernel;
-        Self::calibrated(energy)
-    }
-
     /// Expected physical searches against the block per visit: the
     /// profile's logical-search estimate times the
     /// [`physical_per_logical`](BlockShape::physical_per_logical)
@@ -280,23 +260,6 @@ mod tests {
             last_indexed = indexed;
         }
         assert!(last_indexed, "full-width dense block must resolve Indexed");
-    }
-
-    #[test]
-    fn calibration_is_kernel_invariant() {
-        // BENCH_08 measured the same winner as scalar BENCH_07 on every
-        // row, so the packed kernel must not perturb resolution: fitted
-        // constants model per-search totals, not raw compare loops.
-        use crate::Kernel;
-        let e = DeviceEnergyModel::paper();
-        assert_eq!(
-            SearchCostModel::calibrated_for(&e, Kernel::Scalar),
-            SearchCostModel::calibrated(&e)
-        );
-        assert_eq!(
-            SearchCostModel::calibrated_for(&e, Kernel::Packed),
-            SearchCostModel::calibrated(&e)
-        );
     }
 
     #[test]

@@ -7,8 +7,6 @@ use crate::fast_hash::FxHashMap;
 use crate::fault::{CamFaultState, FaultStats};
 use crate::geometry::CamGeometry;
 use crate::hit_vector::HitVector;
-use crate::kernel::Kernel;
-use crate::packed::PackedPlanes;
 use crate::XbarStats;
 
 /// How the *functional* side of a CAM search computes its hit vector.
@@ -81,7 +79,7 @@ const MAX_INDEXED_MASKS: usize = 4;
 
 /// A candidate set stored as a row-word bitmask — the same word layout a
 /// [`HitVector`] uses, so an index probe is a straight word copy into the
-/// packed result instead of a per-row scatter.
+/// hit-vector result instead of a per-row scatter.
 #[derive(Debug, Clone)]
 struct RowMask {
     words: Vec<u64>,
@@ -214,13 +212,6 @@ pub struct CamCrossbar {
     /// Host algorithm used to derive hit vectors (device behaviour and
     /// accounting are identical in both modes).
     mode: SearchMode,
-    /// Host kernel evaluating the linear matcher (packed word-parallel or
-    /// scalar row-at-a-time; results and accounting are identical).
-    kernel: Kernel,
-    /// Bit-plane transposed mirror of `entries`, maintained incrementally
-    /// while the packed kernel is active and rebuilt lazily after a spell
-    /// on the scalar kernel.
-    packed: PackedPlanes,
     /// Entry-store version, bumped on every mutation. An index whose
     /// `clean_epoch` matches is exact; anything else rebuilds lazily.
     epoch: u64,
@@ -265,8 +256,6 @@ impl CamCrossbar {
             faults: None,
             stats: XbarStats::new(),
             mode: SearchMode::default(),
-            kernel: Kernel::default(),
-            packed: PackedPlanes::new(geometry.rows, geometry.width_bits as usize),
             epoch: 1,
             indexes: Vec::new(),
             clean_indexes: 0,
@@ -288,23 +277,6 @@ impl CamCrossbar {
     /// The active host search algorithm.
     pub fn search_mode(&self) -> SearchMode {
         self.mode
-    }
-
-    /// Selects the host kernel for the linear matcher. Switching to the
-    /// packed kernel marks the bit planes stale; they rebuild from the
-    /// entry store on the next packed search.
-    pub fn set_kernel(&mut self, kernel: Kernel) {
-        if kernel != self.kernel {
-            self.kernel = kernel;
-            if kernel == Kernel::Packed {
-                self.packed.mark_dirty();
-            }
-        }
-    }
-
-    /// The active host kernel.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
     }
 
     /// Attaches seeded device-fault state. Stuck bits corrupt entries as
@@ -385,12 +357,6 @@ impl CamCrossbar {
         };
         let old = self.entries[row];
         self.entries[row] = stored;
-        if self.kernel == Kernel::Packed && !self.packed.is_dirty() {
-            // Diff-based plane patch: block programs rewrite whole banks,
-            // so per-write cost decides the packed kernel's end-to-end
-            // win — only the planes whose bit flipped are touched.
-            self.packed.update_row(row, old.bits, stored.bits);
-        }
         self.patch_indexes(old, stored, row);
         self.stats.row_writes += 1;
         // A TCAM cell is a complementary ReRAM pair: 2 device writes per bit.
@@ -414,9 +380,6 @@ impl CamCrossbar {
         let old = self.entries[row];
         if old.valid {
             self.entries[row].valid = false;
-            if self.kernel == Kernel::Packed && !self.packed.is_dirty() {
-                self.packed.invalidate(row);
-            }
             self.patch_indexes(old, self.entries[row], row);
         }
         Ok(())
@@ -427,9 +390,6 @@ impl CamCrossbar {
         for e in &mut self.entries {
             e.valid = false;
         }
-        // Cheap for the planes too: only the valid words clear (plane bits
-        // stay stale-but-unmatched, like the entry bits below).
-        self.packed.invalidate_all();
         // Bulk clears only bump the epoch: every index turns stale at once
         // and rebuilds lazily on its next indexed search. Memoized
         // steady-state iterations never physically search a reloaded block
@@ -525,7 +485,7 @@ impl CamCrossbar {
                 // gaasx-lint: hot
                 if let Some(rows) = ix.rows.get(&(key & mask)) {
                     // Candidate sets are row-word bitmasks: the probe is a
-                    // straight word copy into the packed hit vector.
+                    // straight word copy into the hit vector.
                     for (w, &word) in rows.words.iter().enumerate() {
                         out.set_word(w, word);
                     }
@@ -535,18 +495,10 @@ impl CamCrossbar {
             }
         }
         if !via_index {
-            match self.kernel {
-                Kernel::Packed => {
-                    if self.packed.is_dirty() {
-                        self.packed.rebuild(&self.entries);
-                    }
-                    self.packed.search_into(key, mask, out);
-                }
-                Kernel::Scalar => Self::linear_scan_into(&self.entries, key, mask, out),
-            }
+            Self::linear_scan_into(&self.entries, key, mask, out);
         }
         #[cfg(debug_assertions)]
-        if via_index || self.kernel == Kernel::Packed {
+        if via_index {
             let mut check = std::mem::replace(&mut self.check_hv, HitVector::new(0));
             check.reset(self.geometry.rows);
             Self::linear_scan_into(&self.entries, key, mask, &mut check);
@@ -561,9 +513,8 @@ impl CamCrossbar {
         }
     }
 
-    /// The scalar reference path: O(rows) scan over the post-fault
-    /// entries. Retained as the oracle for [`Kernel::Scalar`] and the
-    /// debug-build cross-check of every indexed or packed result.
+    /// The linear path: O(rows) scan over the post-fault entries. Also the
+    /// debug-build cross-check of every indexed result.
     fn linear_scan_into(entries: &[CamEntry], key: u128, mask: u128, out: &mut HitVector) {
         // gaasx-lint: hot
         for (i, e) in entries.iter().enumerate() {
@@ -898,113 +849,6 @@ mod tests {
             assert!(mode.to_string().parse::<SearchMode>() == Ok(mode));
         }
         assert!("fast".parse::<SearchMode>().is_err());
-    }
-
-    /// Runs the same op sequence under both kernels (in Linear mode, so
-    /// the matcher — not the index — derives every result) and asserts
-    /// identical hit vectors and stats.
-    fn assert_kernels_agree(rows: usize, ops: impl Fn(&mut CamCrossbar) -> Vec<HitVector>) {
-        let g = CamGeometry {
-            rows,
-            width_bits: 128,
-        };
-        let mut scalar = CamCrossbar::new(g);
-        scalar.set_search_mode(SearchMode::Linear);
-        scalar.set_kernel(Kernel::Scalar);
-        let a = ops(&mut scalar);
-        let mut packed = CamCrossbar::new(g);
-        packed.set_search_mode(SearchMode::Linear);
-        packed.set_kernel(Kernel::Packed);
-        let b = ops(&mut packed);
-        assert_eq!(a, b, "hit vectors diverged between kernels ({rows} rows)");
-        assert_eq!(scalar.stats(), packed.stats(), "stats diverged");
-    }
-
-    #[test]
-    fn packed_kernel_matches_scalar_including_partial_last_word() {
-        for rows in [64, 70, 128, 130] {
-            assert_kernels_agree(rows, |c| {
-                for i in 0..c.geometry().rows {
-                    let key = (u128::from(i as u32 % 5) << 32) | u128::from(i as u32 % 7);
-                    c.write(i, key).unwrap();
-                }
-                let mut out = Vec::new();
-                for v in 0..8u32 {
-                    out.push(c.search(u128::from(v) << 32, SRC_MASK));
-                    out.push(c.search(u128::from(v), DST_MASK));
-                }
-                out.push(c.search(0, u128::MAX));
-                out.push(c.search((1u128 << 32) | 1, SRC_MASK | DST_MASK));
-                out
-            });
-        }
-    }
-
-    #[test]
-    fn packed_kernel_matches_scalar_across_invalidate_and_rewrite() {
-        assert_kernels_agree(70, |c| {
-            let mut out = Vec::new();
-            for i in 0..70 {
-                c.write(i, (u128::from(i as u32 % 9) << 32) | 1).unwrap();
-            }
-            out.push(c.search(1, DST_MASK));
-            c.invalidate(3).unwrap();
-            c.invalidate(69).unwrap();
-            out.push(c.search(1, DST_MASK));
-            c.write(3, (7u128 << 32) | 2).unwrap();
-            out.push(c.search(2, DST_MASK));
-            out.push(c.search(7u128 << 32, SRC_MASK));
-            c.invalidate_all();
-            out.push(c.search(1, DST_MASK));
-            for i in 0..4 {
-                c.write(i, (9u128 << 32) | u128::from(i as u32)).unwrap();
-            }
-            out.push(c.search(9u128 << 32, SRC_MASK));
-            out
-        });
-    }
-
-    #[test]
-    fn packed_kernel_reflects_post_fault_bits() {
-        use crate::fault::{CamFaultState, FaultModel};
-        let g = CamGeometry::paper();
-        let model = FaultModel {
-            seed: 7,
-            cam_stuck_ber: 0.02,
-            ..FaultModel::none()
-        };
-        let run = |kernel: Kernel| {
-            let mut c = CamCrossbar::new(g);
-            c.set_search_mode(SearchMode::Linear);
-            c.set_kernel(kernel);
-            c.set_faults(Some(CamFaultState::new(model, &g)));
-            let key = 0xA5A5_A5A5_A5A5_A5A5u128;
-            for row in 0..g.rows {
-                c.write(row, key).unwrap();
-            }
-            c.search(key, u128::MAX)
-        };
-        assert_eq!(run(Kernel::Scalar), run(Kernel::Packed));
-    }
-
-    #[test]
-    fn switching_kernels_mid_stream_rebuilds_the_planes() {
-        let mut c = cam();
-        c.set_search_mode(SearchMode::Linear);
-        c.set_kernel(Kernel::Scalar);
-        for i in 0..10 {
-            c.write(i, u128::from(i as u32 % 3)).unwrap();
-        }
-        let a = c.search(1, DST_MASK);
-        // Writes while scalar skipped plane maintenance; the switch must
-        // rebuild before the packed matcher answers.
-        c.set_kernel(Kernel::Packed);
-        assert_eq!(c.kernel(), Kernel::Packed);
-        let b = c.search(1, DST_MASK);
-        assert_eq!(a, b);
-        c.write(5, 1).unwrap(); // incremental maintenance after rebuild
-        let d = c.search(1, DST_MASK);
-        assert_eq!(d.count(), a.count() + 1);
     }
 
     #[test]

@@ -90,20 +90,10 @@ impl HitVector {
         self.words[index / 64] & (1 << (index % 64)) != 0
     }
 
-    /// Number of 64-row words backing this vector.
-    pub fn num_words(&self) -> usize {
-        self.words.len()
-    }
-
-    /// The backing words, least-significant row first within each word.
-    /// Bits past `len` in the last word are always zero.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Overwrites one backing word with 64 row bits at once — the store
-    /// half of the word-parallel packed search path. Bits addressing rows
-    /// past `len` are masked off so the padding-bit invariant (and thus
+    /// Overwrites one backing word with 64 row bits at once (least
+    /// significant bit first) — how an indexed search copies a row-word
+    /// candidate bitmask into its result. Bits addressing rows past `len`
+    /// are masked off so the padding-bit invariant (and thus
     /// [`count`](HitVector::count)/[`any`](HitVector::any)) holds.
     ///
     /// # Panics
@@ -444,8 +434,7 @@ mod tests {
         hv.set_word(1, u64::MAX);
         // Rows 64..70 live in the last word; bits 70..128 are padding.
         assert_eq!(hv.count(), 70);
-        assert_eq!(hv.words()[1], (1 << 6) - 1);
-        assert_eq!(hv.num_words(), 2);
+        assert!(hv.get(69));
         hv.set_word(0, 0b101);
         assert_eq!(hv.iter_ones().take(2).collect::<Vec<_>>(), vec![0, 2]);
     }

@@ -1,63 +1,19 @@
-//! Host kernel selection for the crossbar hot paths.
+//! A host-kernel selector kept so existing configs still parse.
 
 use serde::{Deserialize, Serialize};
 
-/// Which *host* implementation evaluates the crossbar hot loops.
+/// A host-kernel choice that selects nothing.
 ///
-/// Like [`SearchMode`](crate::SearchMode), this is purely a host-side
-/// choice: the simulated hardware performs the same parallel operation
-/// either way, both kernels count identical [`XbarStats`](crate::XbarStats)
-/// and return bit-identical results — the kernel only selects how fast the
-/// *simulator* derives them.
-///
-/// * [`Scalar`](Kernel::Scalar): row-at-a-time reference kernels — the
-///   oracle the packed kernels are checked against.
-/// * [`Packed`](Kernel::Packed) (the default): word-parallel packed
-///   bit-plane kernels — one XOR/AND/NOT evaluates 64 CAM rows at a time,
-///   and MAC partial products fold via per-bit-plane popcounts.
+/// The crossbars have one host implementation: a row-at-a-time CAM scan
+/// (plus the exact-match index of [`SearchMode`](crate::SearchMode)) and
+/// a scalar bit-sliced MAC loop. Both variants are accepted, in code and
+/// in serialized configs, and neither changes any result or code path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum Kernel {
-    /// Row-at-a-time reference kernels.
+    /// Accepted and ignored.
     Scalar,
-    /// Word-parallel packed bit-plane kernels.
+    /// Accepted and ignored (the default).
     #[default]
     Packed,
-}
-
-impl std::fmt::Display for Kernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Kernel::Scalar => "scalar",
-            Kernel::Packed => "packed",
-        })
-    }
-}
-
-impl std::str::FromStr for Kernel {
-    type Err = String;
-
-    /// Parses the CLI spelling (`scalar | packed`), matching the serde
-    /// snake_case encoding.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(Kernel::Scalar),
-            "packed" => Ok(Kernel::Packed),
-            other => Err(format!("invalid kernel '{other}' (scalar | packed)")),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn packed_is_the_default_and_round_trips_its_spellings() {
-        assert_eq!(Kernel::default(), Kernel::Packed);
-        for k in [Kernel::Scalar, Kernel::Packed] {
-            assert!(k.to_string().parse::<Kernel>() == Ok(k));
-        }
-        assert!("simd".parse::<Kernel>().is_err());
-    }
 }

@@ -31,7 +31,6 @@ mod error;
 mod hit_vector;
 mod kernel;
 mod mac;
-mod packed;
 
 pub mod auto;
 pub mod energy;

@@ -3,7 +3,6 @@
 use crate::error::XbarError;
 use crate::fault::{FaultStats, MacFaultState};
 use crate::geometry::MacGeometry;
-use crate::kernel::Kernel;
 use crate::noise::NoiseModel;
 use crate::XbarStats;
 
@@ -75,10 +74,6 @@ pub struct MacCrossbar {
     faults: Option<MacFaultState>,
     stats: XbarStats,
     input_bits: u32,
-    /// Host kernel for the clean quantized evaluation (packed lane
-    /// bit-plane popcounts or the scalar reference loop; results and
-    /// accounting are identical).
-    kernel: Kernel,
     /// Reused full-width output buffer for [`MacCrossbar::mac_col`] /
     /// [`MacCrossbar::mac_lines_into`] calls that must fall back to
     /// evaluating every crossed line.
@@ -103,20 +98,8 @@ impl MacCrossbar {
             faults: None,
             stats: XbarStats::new(),
             input_bits: 16,
-            kernel: Kernel::default(),
             col_scratch: Vec::new(),
         }
-    }
-
-    /// Selects the host kernel for the clean quantized evaluation. The
-    /// MAC array keeps no packed mirror state, so switching is free.
-    pub fn set_kernel(&mut self, kernel: Kernel) {
-        self.kernel = kernel;
-    }
-
-    /// The active host kernel.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
     }
 
     /// Attaches a device-variation noise model (only observable under
@@ -395,14 +378,7 @@ impl MacCrossbar {
                 slot
                 // gaasx-lint: end-hot
             }
-            Fidelity::Quantized => {
-                if self.kernel == Kernel::Packed && active.len() <= 64 {
-                    let x_planes = pack_bit_planes(inputs);
-                    self.quantized_line_packed(direction, active, &x_planes, col)
-                } else {
-                    self.quantized_line_clean(direction, active, inputs, col)
-                }
-            }
+            Fidelity::Quantized => self.quantized_line_clean(direction, active, inputs, col),
         })
     }
 
@@ -473,15 +449,8 @@ impl MacCrossbar {
                 // gaasx-lint: end-hot
             }
             Fidelity::Quantized => {
-                if self.kernel == Kernel::Packed && active.len() <= 64 {
-                    let x_planes = pack_bit_planes(inputs);
-                    for &l in lines {
-                        out.push(self.quantized_line_packed(direction, active, &x_planes, l));
-                    }
-                } else {
-                    for &l in lines {
-                        out.push(self.quantized_line_clean(direction, active, inputs, l));
-                    }
+                for &l in lines {
+                    out.push(self.quantized_line_clean(direction, active, inputs, l));
                 }
             }
         }
@@ -584,20 +553,6 @@ impl MacCrossbar {
         let cell_mask = (1u32 << g.bits_per_cell) - 1;
         let adc_full_scale = (1u64 << g.adc_bits) - 1;
         let steps = self.input_bits.div_ceil(g.dac_bits);
-        if self.noise.is_none()
-            && self.faults.is_none()
-            && self.kernel == Kernel::Packed
-            && active.len() <= 64
-        {
-            // Clean burst, packed kernel: every crossed line is independent
-            // and no RNG is consumed, so the lane bit-plane evaluation is
-            // free to replace the scalar loop (integer-identical results).
-            let x_planes = pack_bit_planes(inputs);
-            for (o, slot) in out.iter_mut().enumerate() {
-                *slot = self.quantized_line_packed(direction, active, &x_planes, o);
-            }
-            return;
-        }
         // gaasx-lint: hot
         for (o, slot) in out.iter_mut().enumerate() {
             let mut acc = 0u64;
@@ -651,61 +606,6 @@ impl MacCrossbar {
                     let w_bits = (self.crossed_cell(direction, a, o) >> (slice * g.bits_per_cell))
                         & cell_mask;
                     partial += u64::from(x_bits) * u64::from(w_bits);
-                }
-                acc += partial.min(adc_full_scale) << (step * g.dac_bits + slice * g.bits_per_cell);
-            }
-        }
-        acc
-        // gaasx-lint: end-hot
-    }
-
-    /// One crossed line of the clean quantized path, evaluated by lane
-    /// bit-plane popcounts instead of per-lane multiply-adds.
-    ///
-    /// Each `(step, slice)` partial is
-    /// `Σ_lanes x_bits · w_bits = Σ_{p<dac_bits, q<bits_per_cell} 2^{p+q} ·
-    /// popcount(x_plane[step·dac+p] & w_plane[slice·cell+q])`, which is
-    /// integer-identical to the scalar expansion, then saturates at the
-    /// ADC full scale and shift-adds exactly as
-    /// [`quantized_line_clean`](Self::quantized_line_clean) does. The
-    /// `Exact` paths stay scalar on purpose: without the per-partial ADC
-    /// clip the bit-plane expansion performs the same number of operations
-    /// as the plain multiply-add, so there is nothing to win there.
-    ///
-    /// Callers must ensure `active.len() <= 64` (one lane per mask bit).
-    fn quantized_line_packed(
-        &self,
-        direction: MacDirection,
-        active: &[usize],
-        x_planes: &[u64; 64],
-        o: usize,
-    ) -> u64 {
-        let g = self.geometry;
-        let adc_full_scale = (1u64 << g.adc_bits) - 1;
-        let steps = self.input_bits.div_ceil(g.dac_bits);
-        // gaasx-lint: hot
-        let mut w_planes = [0u64; 64];
-        for (lane, &a) in active.iter().enumerate() {
-            let mut bits = self.crossed_cell(direction, a, o);
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                w_planes[b] |= 1 << lane;
-            }
-        }
-        let mut acc = 0u64;
-        for step in 0..steps {
-            for slice in 0..g.slices as u32 {
-                let mut partial = 0u64;
-                for p in 0..g.dac_bits {
-                    let x = x_planes[(step * g.dac_bits + p) as usize];
-                    if x == 0 {
-                        continue;
-                    }
-                    for q in 0..g.bits_per_cell {
-                        let w = w_planes[(slice * g.bits_per_cell + q) as usize];
-                        partial += u64::from((x & w).count_ones()) << (p + q);
-                    }
                 }
                 acc += partial.min(adc_full_scale) << (step * g.dac_bits + slice * g.bits_per_cell);
             }
@@ -788,23 +688,6 @@ impl MacCrossbar {
         }
         Ok(())
     }
-}
-
-/// Transposes up to 64 lane input words into per-bit lane masks:
-/// `planes[b]` has bit `lane` set when `inputs[lane]` has bit `b` set.
-/// Bits the bit-sliced walk never visits sit unread in the high planes, so
-/// no masking is needed to stay identical to the scalar expansion.
-fn pack_bit_planes(inputs: &[u32]) -> [u64; 64] {
-    let mut planes = [0u64; 64];
-    for (lane, &x) in inputs.iter().enumerate() {
-        let mut bits = x;
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            planes[b] |= 1 << lane;
-        }
-    }
-    planes
 }
 
 #[cfg(test)]
@@ -1118,47 +1001,6 @@ mod tests {
             .mac_lines_into(MacDirection::RowsToColumns, &[0], &[0x1234], &[0], &mut b2)
             .unwrap();
         assert_eq!(b2, vec![a2[0]]);
-    }
-
-    #[test]
-    fn packed_quantized_kernel_matches_scalar() {
-        // Full 16-lane bursts with mixed magnitudes: saturating and
-        // non-saturating partials must agree bit-for-bit across kernels.
-        let rows: Vec<usize> = (0..16).collect();
-        let inputs: Vec<u32> = (0..16)
-            .map(|i| 0x1111u32.wrapping_mul(i) & 0xFFFF)
-            .collect();
-        let run = |kernel: Kernel| {
-            let mut m = mac(Fidelity::Quantized);
-            m.set_kernel(kernel);
-            assert_eq!(m.kernel(), kernel);
-            for r in 0..16 {
-                let codes: Vec<u32> = (0..16)
-                    .map(|c| ((r * 31 + c * 17) % 0xFFFF) as u32)
-                    .collect();
-                m.write_row(r, &codes).unwrap();
-            }
-            let mut outs = Vec::new();
-            outs.extend(m.mac(MacDirection::RowsToColumns, &rows, &inputs).unwrap());
-            outs.push(
-                m.mac_col(MacDirection::RowsToColumns, &rows, &inputs, 7)
-                    .unwrap(),
-            );
-            let cols: Vec<usize> = (0..16).collect();
-            outs.extend(m.mac(MacDirection::ColumnsToRows, &cols, &inputs).unwrap());
-            let mut restricted = Vec::new();
-            m.mac_lines_into(
-                MacDirection::ColumnsToRows,
-                &cols,
-                &inputs,
-                &[127, 0, 64],
-                &mut restricted,
-            )
-            .unwrap();
-            outs.extend(restricted);
-            outs
-        };
-        assert_eq!(run(Kernel::Scalar), run(Kernel::Packed));
     }
 
     #[test]

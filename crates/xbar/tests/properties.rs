@@ -28,6 +28,12 @@ fn loaded_mac(cells: &[Vec<u32>]) -> MacCrossbar {
     mac
 }
 
+/// Bank depths straddling the 64-row word boundary: one word exactly, a
+/// partial single word, the paper depth, and partial and full multi-word
+/// banks. The index's row-word candidate bitmasks must mask the padding
+/// bits of a partial last word.
+const DEPTHS: [usize; 5] = [64, 70, 128, 130, 192];
+
 /// Decodes one raw tuple into a CAM operation — program, invalidate
 /// (single row or bulk, the same paths spare-row remap exercises), or a
 /// search over the src field, the dst field, the exact key, or an
@@ -37,7 +43,7 @@ fn apply_cam_op(cam: &mut CamCrossbar, op: (u8, u8, u8, u8), out: &mut Vec<HitVe
     const SRC_MASK: u128 = 0xFFFF_FFFF_0000_0000;
     const DST_MASK: u128 = 0xFFFF_FFFF;
     let (code, a, b, c) = op;
-    let row = usize::from(a) % 128;
+    let row = usize::from(a) % cam.geometry().rows;
     // Small vertex spaces force key collisions across rows.
     let src = u32::from(b) % 8;
     let dst = u32::from(c) % 8;
@@ -56,20 +62,25 @@ fn apply_cam_op(cam: &mut CamCrossbar, op: (u8, u8, u8, u8), out: &mut Vec<HitVe
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any interleaving of program/invalidate/remap/search operations —
-    /// with or without a seeded fault model — yields identical hit
-    /// vectors, device stats, and fault stats under `SearchMode::Linear`,
-    /// `SearchMode::Indexed`, and (unresolved) `SearchMode::Auto`.
+    /// Any interleaving of program/invalidate/remap/search operations on
+    /// any bank depth — with or without a seeded fault model — yields
+    /// identical hit vectors, device stats, and fault stats under
+    /// `SearchMode::Linear`, `SearchMode::Indexed`, and (unresolved)
+    /// `SearchMode::Auto`.
     #[test]
     fn linear_and_indexed_modes_agree(
         ops in prop::collection::vec(
             (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
             1..80,
         ),
+        depth_ix in 0usize..DEPTHS.len(),
         seed in any::<u64>(),
         faulty in any::<bool>(),
     ) {
-        let g = CamGeometry::paper();
+        let g = CamGeometry {
+            rows: DEPTHS[depth_ix],
+            ..CamGeometry::paper()
+        };
         let run = |mode: SearchMode| {
             let mut cam = CamCrossbar::new(g);
             cam.set_search_mode(mode);
