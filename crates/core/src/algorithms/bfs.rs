@@ -1,10 +1,10 @@
 //! Breadth-first search mapped to SpMV-add (paper §IV, Equation 2).
 
-use gaasx_graph::partition::TraversalOrder;
+use gaasx_graph::partition::{GridPartition, TraversalOrder};
 use gaasx_graph::{CooGraph, VertexId};
 
-use crate::algorithms::{AlgoRun, Algorithm, ShardableAlgorithm};
-use crate::engine::{partition_for_streaming, CellLayout, Engine};
+use crate::algorithms::{check_grid, AlgoRun, Algorithm, ShardableAlgorithm};
+use crate::engine::{CellLayout, Engine};
 use crate::error::CoreError;
 use crate::sharded::ShardRunner;
 
@@ -63,11 +63,13 @@ impl Algorithm for Bfs {
 }
 
 impl ShardableAlgorithm for Bfs {
-    fn execute_on<R: ShardRunner>(
+    fn execute_on_grid<R: ShardRunner>(
         &self,
         runner: &mut R,
         graph: &CooGraph,
+        grid: &GridPartition,
     ) -> Result<AlgoRun<Vec<f64>>, CoreError> {
+        check_grid(graph, grid)?;
         let n = graph.num_vertices() as usize;
         if self.source.index() >= n {
             return Err(CoreError::InvalidInput(format!(
@@ -77,7 +79,6 @@ impl ShardableAlgorithm for Bfs {
         }
         // All weight cells read as 1; set once, never per edge.
         runner.preset_mac(1)?;
-        let grid = partition_for_streaming(graph)?;
         let capacity = runner.engine().block_capacity();
 
         let mut dist = vec![f64::INFINITY; n];
@@ -87,13 +88,13 @@ impl ShardableAlgorithm for Bfs {
         let mut supersteps = 0;
 
         loop {
-            // Snapshot pass per shard (see Sssp::execute_on); the frontier
+            // Snapshot pass per shard (see Sssp::execute_on_grid); the frontier
             // already enforces snapshot semantics — a vertex first reached
             // this superstep is not expanded until the next one.
             let dist_snapshot = &dist;
             let frontier_snapshot = &frontier;
             let candidates =
-                runner.for_each_shard(&grid, TraversalOrder::RowMajor, |engine, shard| {
+                runner.for_each_shard(grid, TraversalOrder::RowMajor, |engine, shard| {
                     let mut cands: Vec<(u32, f64)> = Vec::new();
                     let mut hits = gaasx_xbar::HitVector::new(0);
                     let mut results: Vec<(usize, u64)> = Vec::new();

@@ -9,11 +9,11 @@
 //! pushes its label to its out-neighbors through a CAM search plus a
 //! transposed MAC over the preset unit column.
 
-use gaasx_graph::partition::TraversalOrder;
+use gaasx_graph::partition::{GridPartition, TraversalOrder};
 use gaasx_graph::CooGraph;
 
-use crate::algorithms::{AlgoRun, Algorithm, ShardableAlgorithm};
-use crate::engine::{partition_for_streaming, CellLayout, Engine};
+use crate::algorithms::{check_grid, AlgoRun, Algorithm, ShardableAlgorithm};
+use crate::engine::{CellLayout, Engine};
 use crate::error::CoreError;
 use crate::sharded::ShardRunner;
 
@@ -63,11 +63,13 @@ impl Algorithm for ConnectedComponents {
 }
 
 impl ShardableAlgorithm for ConnectedComponents {
-    fn execute_on<R: ShardRunner>(
+    fn execute_on_grid<R: ShardRunner>(
         &self,
         runner: &mut R,
         graph: &CooGraph,
+        grid: &GridPartition,
     ) -> Result<AlgoRun<Vec<u32>>, CoreError> {
+        check_grid(graph, grid)?;
         let n = graph.num_vertices() as usize;
         if n == 0 {
             return Ok(AlgoRun {
@@ -84,7 +86,6 @@ impl ShardableAlgorithm for ConnectedComponents {
         // Labels ride the preset unit column like BFS hop counts: no MAC
         // programming during data loading.
         runner.preset_mac(1)?;
-        let grid = partition_for_streaming(graph)?;
         let capacity = runner.engine().block_capacity();
 
         let mut label: Vec<u32> = (0..n as u32).collect();
@@ -99,7 +100,7 @@ impl ShardableAlgorithm for ConnectedComponents {
             let label_snapshot = &label;
             let active_snapshot = &active;
             let candidates =
-                runner.for_each_shard(&grid, TraversalOrder::RowMajor, |engine, shard| {
+                runner.for_each_shard(grid, TraversalOrder::RowMajor, |engine, shard| {
                     let mut cands: Vec<(u32, u32)> = Vec::new();
                     let mut hits = gaasx_xbar::HitVector::new(0);
                     let mut results: Vec<(usize, u64)> = Vec::new();

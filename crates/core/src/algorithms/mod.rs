@@ -27,10 +27,12 @@ pub use pagerank::PageRank;
 pub use spmv::SpMV;
 pub use sssp::Sssp;
 
-use crate::engine::Engine;
+use crate::engine::{partition_for_streaming, Engine};
 use crate::error::CoreError;
 use crate::sharded::ShardRunner;
 
+use gaasx_graph::partition::GridPartition;
+use gaasx_graph::CooGraph;
 use gaasx_xbar::SearchProfile;
 
 /// Result of executing an algorithm: its output plus the iteration count
@@ -82,15 +84,61 @@ pub trait Algorithm {
 /// executable serially on an [`Engine`] or in parallel on a
 /// [`crate::sharded::ShardedEngine`], with identical results and cost
 /// accounting either way.
-pub trait ShardableAlgorithm: Algorithm {
-    /// Executes the algorithm on any [`ShardRunner`].
+///
+/// Partitioning is host-side preprocessing (paper §II-B), so a caller
+/// that runs many queries on one graph builds its
+/// [`partition_for_streaming`] grid once and calls
+/// [`execute_on_grid`](ShardableAlgorithm::execute_on_grid); a one-shot
+/// caller uses [`execute_on`](ShardableAlgorithm::execute_on). Both give
+/// the same output and the same [`gaasx_sim::RunReport`].
+pub trait ShardableAlgorithm: Algorithm<Input = CooGraph> {
+    /// Executes the algorithm on any [`ShardRunner`], streaming `graph`
+    /// through `grid`, which must be `partition_for_streaming(graph)`.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError`] on invalid inputs or device failures.
+    /// Returns [`CoreError::InvalidInput`] if `grid` was not built from a
+    /// graph of `graph`'s vertex and edge counts, and [`CoreError`] on
+    /// other invalid inputs or device failures.
+    fn execute_on_grid<R: ShardRunner>(
+        &self,
+        runner: &mut R,
+        graph: &CooGraph,
+        grid: &GridPartition,
+    ) -> Result<AlgoRun<Self::Output>, CoreError>;
+
+    /// Partitions `graph` and executes the algorithm on any
+    /// [`ShardRunner`].
+    ///
+    /// # Errors
+    ///
+    /// As [`execute_on_grid`](ShardableAlgorithm::execute_on_grid).
     fn execute_on<R: ShardRunner>(
         &self,
         runner: &mut R,
-        input: &Self::Input,
-    ) -> Result<AlgoRun<Self::Output>, CoreError>;
+        graph: &CooGraph,
+    ) -> Result<AlgoRun<Self::Output>, CoreError> {
+        let grid = partition_for_streaming(graph)?;
+        self.execute_on_grid(runner, graph, &grid)
+    }
+}
+
+/// Checks that `grid` was built from a graph shaped like `graph`: same
+/// vertex count, same edge count. Streaming a grid of another graph
+/// would silently compute on the wrong edges.
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidInput`] on a mismatch.
+pub fn check_grid(graph: &CooGraph, grid: &GridPartition) -> Result<(), CoreError> {
+    if grid.num_vertices() != graph.num_vertices() || grid.total_edges() != graph.num_edges() {
+        return Err(CoreError::InvalidInput(format!(
+            "grid of {} vertices and {} edges does not partition a graph of {} vertices and {} edges",
+            grid.num_vertices(),
+            grid.total_edges(),
+            graph.num_vertices(),
+            graph.num_edges()
+        )));
+    }
+    Ok(())
 }

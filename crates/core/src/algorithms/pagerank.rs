@@ -1,11 +1,11 @@
 //! PageRank mapped to SpMV-multiply (paper §IV, Fig 9(c)).
 
-use gaasx_graph::partition::TraversalOrder;
+use gaasx_graph::partition::{GridPartition, TraversalOrder};
 use gaasx_graph::{CooGraph, Edge};
 use gaasx_xbar::fixed::Quantizer;
 
-use crate::algorithms::{AlgoRun, Algorithm, ShardableAlgorithm};
-use crate::engine::{partition_for_streaming, CellLayout, Engine};
+use crate::algorithms::{check_grid, AlgoRun, Algorithm, ShardableAlgorithm};
+use crate::engine::{CellLayout, Engine};
 use crate::error::CoreError;
 use crate::sharded::ShardRunner;
 
@@ -73,11 +73,13 @@ impl Algorithm for PageRank {
 }
 
 impl ShardableAlgorithm for PageRank {
-    fn execute_on<R: ShardRunner>(
+    fn execute_on_grid<R: ShardRunner>(
         &self,
         runner: &mut R,
         graph: &CooGraph,
+        grid: &GridPartition,
     ) -> Result<AlgoRun<Vec<f64>>, CoreError> {
+        check_grid(graph, grid)?;
         if !(0.0..=1.0).contains(&self.damping) {
             return Err(CoreError::InvalidInput(format!(
                 "damping {} outside [0, 1]",
@@ -105,7 +107,6 @@ impl ShardableAlgorithm for PageRank {
             })
             .collect();
 
-        let grid = partition_for_streaming(graph)?;
         let capacity = runner.engine().block_capacity();
         let mut ranks = vec![1.0f64; n];
         let mut rank_code: Vec<u32> = Vec::with_capacity(n);
@@ -130,7 +131,7 @@ impl ShardableAlgorithm for PageRank {
             // shard.
             let rank_code = &rank_code;
             let contributions =
-                runner.for_each_shard(&grid, TraversalOrder::ColumnMajor, |engine, shard| {
+                runner.for_each_shard(grid, TraversalOrder::ColumnMajor, |engine, shard| {
                     let mut contribs: Vec<(u32, f64)> = Vec::new();
                     let mut hits = gaasx_xbar::HitVector::new(0);
                     for chunk in shard.edges().chunks(capacity) {

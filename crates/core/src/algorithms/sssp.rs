@@ -1,11 +1,11 @@
 //! Single-source shortest paths mapped to SpMV-add (paper §IV, Fig 9(b)).
 
-use gaasx_graph::partition::TraversalOrder;
+use gaasx_graph::partition::{GridPartition, TraversalOrder};
 use gaasx_graph::{CooGraph, Edge, VertexId};
 use gaasx_xbar::fixed::Quantizer;
 
-use crate::algorithms::{AlgoRun, Algorithm, ShardableAlgorithm};
-use crate::engine::{partition_for_streaming, CellLayout, Engine};
+use crate::algorithms::{check_grid, AlgoRun, Algorithm, ShardableAlgorithm};
+use crate::engine::{CellLayout, Engine};
 use crate::error::CoreError;
 use crate::sharded::ShardRunner;
 
@@ -76,11 +76,13 @@ impl Algorithm for Sssp {
 }
 
 impl ShardableAlgorithm for Sssp {
-    fn execute_on<R: ShardRunner>(
+    fn execute_on_grid<R: ShardRunner>(
         &self,
         runner: &mut R,
         graph: &CooGraph,
+        grid: &GridPartition,
     ) -> Result<AlgoRun<Vec<f64>>, CoreError> {
+        check_grid(graph, grid)?;
         let n = graph.num_vertices() as usize;
         if self.source.index() >= n {
             return Err(CoreError::InvalidInput(format!(
@@ -96,7 +98,6 @@ impl ShardableAlgorithm for Sssp {
             }
         }
         let w_quant = Quantizer::new(1.0, runner.engine().weight_bits())?;
-        let grid = partition_for_streaming(graph)?;
         let capacity = runner.engine().block_capacity();
 
         let mut dist = vec![f64::INFINITY; n];
@@ -115,7 +116,7 @@ impl ShardableAlgorithm for Sssp {
             let dist_snapshot = &dist;
             let active_snapshot = &active;
             let candidates =
-                runner.for_each_shard(&grid, TraversalOrder::RowMajor, |engine, shard| {
+                runner.for_each_shard(grid, TraversalOrder::RowMajor, |engine, shard| {
                     let mut cands: Vec<(u32, f64)> = Vec::new();
                     let mut hits = gaasx_xbar::HitVector::new(0);
                     let mut results: Vec<(usize, u64)> = Vec::new();

@@ -1737,14 +1737,19 @@ impl Engine {
 /// Streams a graph as blocks of at most `block_size` edges, ordered by the
 /// GridGraph-style shard layout (§II-B): the graph is partitioned into a
 /// 16×16 interval grid and non-empty shards are visited in the requested
-/// order, each chunked to the bank capacity.
+/// order, each chunked to the bank capacity. A graph with no vertices
+/// streams as the [empty grid](gaasx_graph::partition::GridPartition::empty).
 ///
 /// # Errors
 ///
-/// Returns a graph error if the graph has no vertices.
+/// Propagates a graph error from the partitioner; none arises today for
+/// any graph.
 pub fn partition_for_streaming(
     graph: &CooGraph,
 ) -> Result<gaasx_graph::partition::GridPartition, GraphError> {
+    if graph.num_vertices() == 0 {
+        return Ok(gaasx_graph::partition::GridPartition::empty());
+    }
     gaasx_graph::partition::GridPartition::with_num_intervals(graph, 16)
 }
 

@@ -82,7 +82,9 @@ impl Shard {
         self.dst_interval
     }
 
-    /// The shard's edges, sorted by `(dst, src)`.
+    /// The shard's edges, sorted by `(dst, src)`. Parallel edges (same
+    /// `src` and `dst`) sit in the order [`GridPartition::new`]'s sort
+    /// leaves them in, which is fixed and observable; see there.
     pub fn edges(&self) -> &[Edge] {
         &self.edges
     }
@@ -153,6 +155,18 @@ pub struct GridPartition {
 impl GridPartition {
     /// Partitions `graph` into a grid with the given vertex `interval_size`.
     ///
+    /// # Edge order
+    ///
+    /// Each shard's edges are sorted by `(dst, src)` with an unstable
+    /// sort, so the order of parallel edges is neither the input order
+    /// nor arbitrary: it is the order the sort produces for this input,
+    /// the same on every run. Modeled costs depend on it — SSSP bills
+    /// one attribute write per improving candidate, so its
+    /// `buffer_accesses` change if parallel edges are reordered. The
+    /// `partition_matches_tuple_key_reference` property test pins the
+    /// order to the `(row, col, dst, src)` comparator sort it replaced;
+    /// switching to a stable, counting or radix sort breaks it.
+    ///
     /// # Errors
     ///
     /// Returns [`GraphError::InvalidParameter`] if `interval_size` is zero or
@@ -174,10 +188,17 @@ impl GridPartition {
 
         // Sort edges by (row, col, dst, src) and slice into shards: memory
         // stays O(E) regardless of P (a full-scale graph at 16-wide tiles
-        // would have ~10¹⁰ grid cells, almost all empty).
+        // would have ~10¹⁰ grid cells, almost all empty). The key packs
+        // `(row, dst, src)` into one integer, which orders edges exactly as
+        // that 4-tuple does (`col = dst / interval_size` never falls as
+        // `dst` rises) without two divisions per comparison.
         let block = |v: VertexId| v.raw() / interval_size;
         let mut edges: Vec<Edge> = graph.edges().to_vec();
-        edges.sort_unstable_by_key(|e| (block(e.src), block(e.dst), e.dst.raw(), e.src.raw()));
+        edges.sort_unstable_by_key(|e| {
+            (u128::from(block(e.src)) << 64)
+                | (u128::from(e.dst.raw()) << 32)
+                | u128::from(e.src.raw())
+        });
         let mut occupied: Vec<((u32, u32), Shard)> = Vec::new();
         let mut start = 0usize;
         while start < edges.len() {
@@ -202,6 +223,18 @@ impl GridPartition {
             num_intervals: p,
             occupied,
         })
+    }
+
+    /// The grid of a graph with no vertices: no intervals, no shards.
+    /// [`GridPartition::new`] rejects such a graph; callers that stream
+    /// it as a no-op use this instead.
+    pub fn empty() -> Self {
+        GridPartition {
+            num_vertices: 0,
+            interval_size: 1,
+            num_intervals: 0,
+            occupied: Vec::new(),
+        }
     }
 
     /// Partitions into approximately `num_intervals` intervals, deriving the
@@ -422,6 +455,15 @@ mod tests {
         let grid = GridPartition::new(&g, 4).unwrap();
         let s = grid.shard(0, 0).expect("occupied");
         assert!((s.density() - 2.0 / 16.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_grid_streams_nothing() {
+        let grid = GridPartition::empty();
+        assert_eq!(grid.num_vertices(), 0);
+        assert_eq!(grid.num_intervals(), 0);
+        assert_eq!(grid.total_edges(), 0);
+        assert_eq!(grid.stream(TraversalOrder::RowMajor).count(), 0);
     }
 
     #[test]

@@ -6,12 +6,48 @@ use proptest::prelude::*;
 use gaasx_graph::generators::{self, RmatConfig};
 use gaasx_graph::io;
 use gaasx_graph::partition::GridPartition;
-use gaasx_graph::{reorder, CooGraph, Csc, Csr, VertexId};
+use gaasx_graph::{reorder, CooGraph, Csc, Csr, Edge, VertexId};
 
 fn arb_graph() -> impl Strategy<Value = CooGraph> {
     (2u32..80, 0usize..300, any::<u64>()).prop_map(|(n, m, seed)| {
         generators::rmat(&RmatConfig::new(n, m.max(1)).with_seed(seed)).unwrap()
     })
+}
+
+/// Few vertices, many edges: nearly every `(src, dst)` pair repeats, with
+/// RMAT's integral weights `1..=16`, so parallel-edge order is exercised.
+fn arb_multigraph() -> impl Strategy<Value = CooGraph> {
+    (2u32..8, 1usize..300, any::<u64>()).prop_map(|(n, m, seed)| {
+        generators::rmat(&RmatConfig::new(n, m).with_max_weight(16).with_seed(seed)).unwrap()
+    })
+}
+
+/// The comparator sort `GridPartition::new` used before it packed its key
+/// into one integer: `sort_unstable_by_key` on `(row, col, dst, src)`.
+/// Returns every non-empty shard's `(row, col)` and edges, row-major.
+fn reference_shards(g: &CooGraph, interval_size: u32) -> Vec<((u32, u32), Vec<Edge>)> {
+    let block = |v: VertexId| v.raw() / interval_size;
+    let mut edges = g.edges().to_vec();
+    edges.sort_unstable_by_key(|e| (block(e.src), block(e.dst), e.dst.raw(), e.src.raw()));
+    let mut shards: Vec<((u32, u32), Vec<Edge>)> = Vec::new();
+    for e in edges {
+        let key = (block(e.src), block(e.dst));
+        match shards.last_mut() {
+            Some((k, shard)) if *k == key => shard.push(e),
+            _ => shards.push((key, vec![e])),
+        }
+    }
+    shards
+}
+
+/// Exact equality with [`reference_shards`], parallel-edge order and
+/// weights included.
+fn assert_matches_reference(g: &CooGraph, grid: &GridPartition) {
+    let got: Vec<((u32, u32), Vec<Edge>)> = grid
+        .shards_with_coords()
+        .map(|(k, s)| (k, s.edges().to_vec()))
+        .collect();
+    assert_eq!(got, reference_shards(g, grid.interval_size()));
 }
 
 proptest! {
@@ -64,6 +100,20 @@ proptest! {
         let grid = GridPartition::new(&g, interval).unwrap();
         prop_assert_eq!(grid.total_edges(), g.num_edges());
         prop_assert!(grid.num_nonempty_shards() <= g.num_edges().max(1));
+    }
+
+    #[test]
+    fn partition_matches_tuple_key_reference(g in arb_graph(), interval in 1u32..40) {
+        assert_matches_reference(&g, &GridPartition::new(&g, interval).unwrap());
+        assert_matches_reference(&g, &GridPartition::with_num_intervals(&g, 16).unwrap());
+    }
+
+    #[test]
+    fn partition_keeps_reference_order_of_parallel_edges(
+        g in arb_multigraph(),
+        interval in 1u32..9,
+    ) {
+        assert_matches_reference(&g, &GridPartition::new(&g, interval).unwrap());
     }
 
     #[test]

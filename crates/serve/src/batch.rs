@@ -26,11 +26,12 @@
 //! cheaper than the sum of its one-shot parts on any graph where sources
 //! share blocks.
 
-use gaasx_graph::partition::TraversalOrder;
+use gaasx_graph::partition::{GridPartition, TraversalOrder};
 use gaasx_graph::{CooGraph, Edge, VertexId};
 use gaasx_xbar::fixed::Quantizer;
 
-use gaasx_core::engine::{partition_for_streaming, CellLayout};
+use gaasx_core::algorithms::check_grid;
+use gaasx_core::engine::CellLayout;
 use gaasx_core::{CoreError, ShardRunner};
 
 /// Largest distance encodable as a 16-bit MAC input code (same device
@@ -49,18 +50,23 @@ pub struct BatchOutcome {
 
 /// Runs BFS (`weighted == false`) or SSSP (`weighted == true`) from every
 /// vertex in `sources` over `graph`, sharing block loads across queries.
+/// `grid` is the graph's streaming layout,
+/// [`partition_for_streaming`](gaasx_core::engine::partition_for_streaming)`(graph)`,
+/// built once per resident graph by the caller.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidInput`] for an empty batch, an
-/// out-of-range source, or (SSSP) negative edge weights; propagates
-/// device errors from the engine.
+/// out-of-range source, (SSSP) negative edge weights, or a `grid` that
+/// does not partition `graph`; propagates device errors from the engine.
 pub fn run_batch<R: ShardRunner>(
     runner: &mut R,
     graph: &CooGraph,
+    grid: &GridPartition,
     weighted: bool,
     sources: &[VertexId],
 ) -> Result<BatchOutcome, CoreError> {
+    check_grid(graph, grid)?;
     let n = graph.num_vertices() as usize;
     let k = sources.len();
     if k == 0 {
@@ -89,7 +95,6 @@ pub fn run_batch<R: ShardRunner>(
         runner.preset_mac(1)?;
         None
     };
-    let grid = partition_for_streaming(graph)?;
     let capacity = runner.engine().block_capacity();
 
     let mut dist: Vec<Vec<f64>> = vec![vec![f64::INFINITY; n]; k];
@@ -116,7 +121,7 @@ pub fn run_batch<R: ShardRunner>(
         let frontier_snapshot = &frontier;
         let active_snapshot = &active;
         let candidates =
-            runner.for_each_shard(&grid, TraversalOrder::RowMajor, |engine, shard| {
+            runner.for_each_shard(grid, TraversalOrder::RowMajor, |engine, shard| {
                 let mut cands: Vec<Vec<(u32, f64)>> = vec![Vec::new(); k];
                 let mut hits = gaasx_xbar::HitVector::new(0);
                 let mut results: Vec<(usize, u64)> = Vec::new();
@@ -216,9 +221,13 @@ pub fn run_batch<R: ShardRunner>(
 mod tests {
     use super::*;
     use gaasx_core::algorithms::{Bfs, ShardableAlgorithm, Sssp};
-    use gaasx_core::engine::Engine;
+    use gaasx_core::engine::{partition_for_streaming, Engine};
     use gaasx_core::GaasXConfig;
     use gaasx_graph::generators;
+
+    fn grid(g: &CooGraph) -> GridPartition {
+        partition_for_streaming(g).unwrap()
+    }
 
     fn rmat(edges: usize, seed: u64) -> CooGraph {
         generators::rmat(&generators::RmatConfig::new(1 << 6, edges).with_seed(seed)).unwrap()
@@ -230,7 +239,7 @@ mod tests {
         for weighted in [false, true] {
             let sources: Vec<VertexId> = [0u32, 1, 5].iter().map(|&s| VertexId::new(s)).collect();
             let mut engine = Engine::new(GaasXConfig::small()).unwrap();
-            let batch = run_batch(&mut engine, &g, weighted, &sources).unwrap();
+            let batch = run_batch(&mut engine, &g, &grid(&g), weighted, &sources).unwrap();
             for (q, &source) in sources.iter().enumerate() {
                 let mut one = Engine::new(GaasXConfig::small()).unwrap();
                 let run = if weighted {
@@ -252,7 +261,7 @@ mod tests {
         let g = rmat(600, 7);
         let sources: Vec<VertexId> = [0u32, 2, 3, 9].iter().map(|&s| VertexId::new(s)).collect();
         let mut engine = Engine::new(GaasXConfig::small()).unwrap();
-        run_batch(&mut engine, &g, true, &sources).unwrap();
+        run_batch(&mut engine, &g, &grid(&g), true, &sources).unwrap();
         let batch_ns = engine
             .finish("gaasx", "sssp_batch", "t", 1, g.num_edges() as u64)
             .elapsed_ns;
@@ -275,10 +284,15 @@ mod tests {
     fn rejects_bad_batches() {
         let g = generators::path_graph(4);
         let mut engine = Engine::new(GaasXConfig::small()).unwrap();
-        assert!(run_batch(&mut engine, &g, false, &[]).is_err());
-        assert!(run_batch(&mut engine, &g, false, &[VertexId::new(9)]).is_err());
+        assert!(run_batch(&mut engine, &g, &grid(&g), false, &[]).is_err());
+        assert!(run_batch(&mut engine, &g, &grid(&g), false, &[VertexId::new(9)]).is_err());
         let neg = CooGraph::from_edges(2, vec![Edge::new(0, 1, -2.0)]).unwrap();
-        assert!(run_batch(&mut engine, &neg, true, &[VertexId::new(0)]).is_err());
+        assert!(run_batch(&mut engine, &neg, &grid(&neg), true, &[VertexId::new(0)]).is_err());
+        let other = generators::path_graph(5);
+        assert!(matches!(
+            run_batch(&mut engine, &g, &grid(&other), false, &[VertexId::new(0)]),
+            Err(CoreError::InvalidInput(_))
+        ));
     }
 
     #[test]
@@ -286,7 +300,7 @@ mod tests {
         let g = generators::path_graph(5);
         let mut engine = Engine::new(GaasXConfig::small()).unwrap();
         let sources = [VertexId::new(1), VertexId::new(1)];
-        let batch = run_batch(&mut engine, &g, false, &sources).unwrap();
+        let batch = run_batch(&mut engine, &g, &grid(&g), false, &sources).unwrap();
         assert_eq!(batch.values[0], batch.values[1]);
         assert_eq!(batch.iterations[0], batch.iterations[1]);
     }

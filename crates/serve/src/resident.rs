@@ -2,9 +2,16 @@
 //!
 //! A [`ResidentGraph`] keeps a programmed [`ShardedEngine`] alive between
 //! queries so consecutive queries skip engine construction and reuse the
-//! warm search memo. They do not skip partitioning: [`Bfs`], [`Sssp`] and
-//! the batched BFS each call `partition_for_streaming` on the graph at
-//! every query. Per-query accounting is wiped with
+//! warm search memo.
+//!
+//! Each registered graph is partitioned once, on its first query: the
+//! [`partition_for_streaming`] grid is cached, and every query streams it
+//! through [`ShardableAlgorithm::execute_on_grid`] or [`run_batch`]. The
+//! grid is host-side preprocessing of the registered graph (paper §II-B),
+//! not bank state, so it survives eviction and panic replacement.
+//! Registration does no partitioning and cannot fail.
+//!
+//! Per-query accounting is wiped with
 //! [`ShardedEngine::reset_accounting`] while device state — endurance
 //! wear, fault RNG streams, spare-row remaps — persists, exactly as it
 //! would on real hardware. Eviction drops the engines (freeing the
@@ -15,10 +22,12 @@
 //! on the *same* modeled banks, so the wear ledger is carried over via
 //! [`WearSnapshot`].
 
+use gaasx_graph::partition::GridPartition;
 use gaasx_graph::{CooGraph, VertexId};
 use gaasx_sim::Nanos;
 
 use gaasx_core::algorithms::{Bfs, ShardableAlgorithm, Sssp};
+use gaasx_core::engine::partition_for_streaming;
 use gaasx_core::{CoreError, GaasXConfig, ShardedEngine, WearSnapshot};
 
 use crate::batch::run_batch;
@@ -32,6 +41,9 @@ pub struct ResidentGraph {
     config: GaasXConfig,
     jobs: usize,
     exec: Option<ShardedEngine>,
+    /// The graph's streaming grid, built on the first query and kept for
+    /// the graph's lifetime (across evictions and panic replacements).
+    grid: Option<GridPartition>,
     /// Dispatch sequence number of the most recent query — the LRU key.
     last_used: u64,
     queries_served: u64,
@@ -48,6 +60,7 @@ impl ResidentGraph {
             config,
             jobs,
             exec: None,
+            grid: None,
             last_used: 0,
             queries_served: 0,
             programs: 0,
@@ -112,7 +125,8 @@ impl ResidentGraph {
     }
 
     /// Drops the programmed engines, freeing the modeled banks. The next
-    /// query reprograms from scratch (fresh wear, fresh memo).
+    /// query reprograms from scratch (fresh wear, fresh memo) but streams
+    /// the cached grid: eviction does not re-partition the graph.
     pub fn evict(&mut self) {
         self.exec = None;
     }
@@ -171,25 +185,29 @@ impl ResidentGraph {
         let exec = self.exec.as_mut().ok_or_else(|| {
             CoreError::InvalidInput(format!("graph {:?} is not resident", self.name))
         })?;
+        let grid = match &mut self.grid {
+            Some(grid) => grid,
+            empty => empty.insert(partition_for_streaming(&self.graph)?),
+        };
         exec.set_search_profile(gaasx_xbar::SearchProfile::Frontier);
         exec.set_deadline(deadline);
         // (per-query values, per-query iterations, algorithm label).
         type QueryRun = (Vec<Vec<f64>>, Vec<u32>, &'static str);
         let run: Result<QueryRun, CoreError> = match kind {
             QueryKind::Bfs { source } => Bfs::from_source(VertexId::new(*source))
-                .execute_on(exec, &self.graph)
+                .execute_on_grid(exec, &self.graph, grid)
                 .map(|r| (vec![r.output], vec![r.iterations], "bfs")),
             QueryKind::Sssp { source } => Sssp::from_source(VertexId::new(*source))
-                .execute_on(exec, &self.graph)
+                .execute_on_grid(exec, &self.graph, grid)
                 .map(|r| (vec![r.output], vec![r.iterations], "sssp")),
             QueryKind::BatchBfs { sources } => {
                 let sources: Vec<VertexId> = sources.iter().map(|&s| VertexId::new(s)).collect();
-                run_batch(exec, &self.graph, false, &sources)
+                run_batch(exec, &self.graph, grid, false, &sources)
                     .map(|b| (b.values, b.iterations, "bfs_batch"))
             }
             QueryKind::BatchSssp { sources } => {
                 let sources: Vec<VertexId> = sources.iter().map(|&s| VertexId::new(s)).collect();
-                run_batch(exec, &self.graph, true, &sources)
+                run_batch(exec, &self.graph, grid, true, &sources)
                     .map(|b| (b.values, b.iterations, "sssp_batch"))
             }
             QueryKind::DebugPanic => {
@@ -273,6 +291,50 @@ mod tests {
         assert!(!r.is_resident());
         assert!(r.ensure_resident().unwrap());
         assert_eq!(r.programs(), 2);
+    }
+
+    /// Data pointer of the cached grid's first shard: unchanged exactly
+    /// when the grid was not rebuilt.
+    fn grid_id(r: &ResidentGraph) -> *const gaasx_graph::Edge {
+        let grid = r.grid.as_ref().expect("grid built by the first query");
+        grid.shards()
+            .next()
+            .expect("non-empty graph")
+            .edges()
+            .as_ptr()
+    }
+
+    #[test]
+    fn queries_after_eviction_match_queries_before_it() {
+        let mut r = resident(2);
+        let kinds = [
+            QueryKind::Bfs { source: 0 },
+            QueryKind::Sssp { source: 0 },
+            QueryKind::BatchBfs {
+                sources: vec![0, 3, 7],
+            },
+        ];
+        assert!(r.grid.is_none());
+        r.ensure_resident().unwrap();
+        assert!(r.grid.is_none(), "programming banks does not partition");
+        let before: Vec<QueryOutput> = kinds
+            .iter()
+            .map(|k| r.run_query(k, None).unwrap())
+            .collect();
+        let grid = grid_id(&r);
+
+        r.evict();
+        assert!(r.ensure_resident().unwrap());
+        let after: Vec<QueryOutput> = kinds
+            .iter()
+            .map(|k| r.run_query(k, None).unwrap())
+            .collect();
+        assert_eq!(before, after);
+        assert_eq!(grid_id(&r), grid, "eviction must keep the grid");
+
+        r.replace_after_panic().unwrap();
+        assert_eq!(r.run_query(&kinds[1], None).unwrap(), before[1]);
+        assert_eq!(grid_id(&r), grid, "panic replacement must keep the grid");
     }
 
     #[test]

@@ -42,6 +42,12 @@ cargo test -q --offline
 echo "==> workspace tests"
 cargo test -q --workspace --offline
 
+echo "==> perfbench: the benchmark package builds against the library API"
+# perfbench is a package of its own (not a workspace member), so no step
+# above compiles it; an API break would otherwise surface only when the
+# benchmark runs.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> sharded execution: parallel path vs serial (bit-identity gate)"
 GAASX_CAP_EDGES=20000 cargo run -q --release --offline -p gaasx-bench \
     --bin jobs_scaling -- --jobs 4
