@@ -1,11 +1,12 @@
 //! Breadth-first search mapped to SpMV-add (paper §IV, Equation 2).
 
-use gaasx_graph::partition::{GridPartition, TraversalOrder};
+use gaasx_graph::partition::TraversalOrder;
 use gaasx_graph::{CooGraph, VertexId};
 
-use crate::algorithms::{check_grid, AlgoRun, Algorithm, ShardableAlgorithm};
+use crate::algorithms::{check_plan, AlgoRun, Algorithm, ShardableAlgorithm};
 use crate::engine::{CellLayout, Engine};
 use crate::error::CoreError;
+use crate::plan::StreamPlan;
 use crate::sharded::ShardRunner;
 
 /// Distances beyond this cannot be driven as MAC inputs.
@@ -63,13 +64,13 @@ impl Algorithm for Bfs {
 }
 
 impl ShardableAlgorithm for Bfs {
-    fn execute_on_grid<R: ShardRunner>(
+    fn execute_on_plan<R: ShardRunner>(
         &self,
         runner: &mut R,
         graph: &CooGraph,
-        grid: &GridPartition,
+        plan: &StreamPlan,
     ) -> Result<AlgoRun<Vec<f64>>, CoreError> {
-        check_grid(graph, grid)?;
+        check_plan(graph, plan, runner.engine())?;
         let n = graph.num_vertices() as usize;
         if self.source.index() >= n {
             return Err(CoreError::InvalidInput(format!(
@@ -79,7 +80,6 @@ impl ShardableAlgorithm for Bfs {
         }
         // All weight cells read as 1; set once, never per edge.
         runner.preset_mac(1)?;
-        let capacity = runner.engine().block_capacity();
 
         let mut dist = vec![f64::INFINITY; n];
         dist[self.source.index()] = 0.0;
@@ -88,21 +88,22 @@ impl ShardableAlgorithm for Bfs {
         let mut supersteps = 0;
 
         loop {
-            // Snapshot pass per shard (see Sssp::execute_on_grid); the frontier
+            // Snapshot pass per shard (see Sssp::execute_on_plan); the frontier
             // already enforces snapshot semantics — a vertex first reached
             // this superstep is not expanded until the next one.
             let dist_snapshot = &dist;
             let frontier_snapshot = &frontier;
             let candidates =
-                runner.for_each_shard(grid, TraversalOrder::RowMajor, |engine, shard| {
+                runner.for_each_shard(plan.grid(), TraversalOrder::RowMajor, |engine, shard| {
                     let mut cands: Vec<(u32, f64)> = Vec::new();
                     let mut hits = gaasx_xbar::HitVector::new(0);
                     let mut results: Vec<(usize, u64)> = Vec::new();
-                    for chunk in shard.edges().chunks(capacity) {
-                        if !chunk.iter().any(|e| frontier_snapshot[e.src.index()]) {
+                    for block in plan.blocks_of(shard) {
+                        let srcs = block.distinct_srcs();
+                        if !srcs.iter().any(|s| frontier_snapshot[s.index()]) {
                             continue;
                         }
-                        let block = engine.load_block(chunk, CellLayout::Preset)?;
+                        engine.load_planned(&block, CellLayout::Preset)?;
                         for &src in block.distinct_srcs() {
                             if !frontier_snapshot[src.index()] {
                                 continue;

@@ -9,12 +9,13 @@
 //! pushes its label to its out-neighbors through a CAM search plus a
 //! transposed MAC over the preset unit column.
 
-use gaasx_graph::partition::{GridPartition, TraversalOrder};
+use gaasx_graph::partition::TraversalOrder;
 use gaasx_graph::CooGraph;
 
-use crate::algorithms::{check_grid, AlgoRun, Algorithm, ShardableAlgorithm};
+use crate::algorithms::{check_plan, AlgoRun, Algorithm, ShardableAlgorithm};
 use crate::engine::{CellLayout, Engine};
 use crate::error::CoreError;
+use crate::plan::StreamPlan;
 use crate::sharded::ShardRunner;
 
 /// Labels propagate as MAC inputs, so they must fit the 16-bit input path.
@@ -63,13 +64,13 @@ impl Algorithm for ConnectedComponents {
 }
 
 impl ShardableAlgorithm for ConnectedComponents {
-    fn execute_on_grid<R: ShardRunner>(
+    fn execute_on_plan<R: ShardRunner>(
         &self,
         runner: &mut R,
         graph: &CooGraph,
-        grid: &GridPartition,
+        plan: &StreamPlan,
     ) -> Result<AlgoRun<Vec<u32>>, CoreError> {
-        check_grid(graph, grid)?;
+        check_plan(graph, plan, runner.engine())?;
         let n = graph.num_vertices() as usize;
         if n == 0 {
             return Ok(AlgoRun {
@@ -86,7 +87,6 @@ impl ShardableAlgorithm for ConnectedComponents {
         // Labels ride the preset unit column like BFS hop counts: no MAC
         // programming during data loading.
         runner.preset_mac(1)?;
-        let capacity = runner.engine().block_capacity();
 
         let mut label: Vec<u32> = (0..n as u32).collect();
         let mut active = vec![true; n];
@@ -100,15 +100,16 @@ impl ShardableAlgorithm for ConnectedComponents {
             let label_snapshot = &label;
             let active_snapshot = &active;
             let candidates =
-                runner.for_each_shard(grid, TraversalOrder::RowMajor, |engine, shard| {
+                runner.for_each_shard(plan.grid(), TraversalOrder::RowMajor, |engine, shard| {
                     let mut cands: Vec<(u32, u32)> = Vec::new();
                     let mut hits = gaasx_xbar::HitVector::new(0);
                     let mut results: Vec<(usize, u64)> = Vec::new();
-                    for chunk in shard.edges().chunks(capacity) {
-                        if !chunk.iter().any(|e| active_snapshot[e.src.index()]) {
+                    for block in plan.blocks_of(shard) {
+                        let srcs = block.distinct_srcs();
+                        if !srcs.iter().any(|s| active_snapshot[s.index()]) {
                             continue;
                         }
-                        let block = engine.load_block(chunk, CellLayout::Preset)?;
+                        engine.load_planned(&block, CellLayout::Preset)?;
                         for &src in block.distinct_srcs() {
                             if !active_snapshot[src.index()] {
                                 continue;

@@ -29,6 +29,7 @@ pub use sssp::Sssp;
 
 use crate::engine::{partition_for_streaming, Engine};
 use crate::error::CoreError;
+use crate::plan::StreamPlan;
 use crate::sharded::ShardRunner;
 
 use gaasx_graph::partition::GridPartition;
@@ -85,41 +86,42 @@ pub trait Algorithm {
 /// [`crate::sharded::ShardedEngine`], with identical results and cost
 /// accounting either way.
 ///
-/// Partitioning is host-side preprocessing (paper §II-B), so a caller
-/// that runs many queries on one graph builds its
-/// [`partition_for_streaming`] grid once and calls
-/// [`execute_on_grid`](ShardableAlgorithm::execute_on_grid); a one-shot
+/// Partitioning and block planning are host-side preprocessing (paper
+/// §II-B), so a caller that runs many queries on one graph builds its
+/// [`StreamPlan`] once and calls
+/// [`execute_on_plan`](ShardableAlgorithm::execute_on_plan); a one-shot
 /// caller uses [`execute_on`](ShardableAlgorithm::execute_on). Both give
 /// the same output and the same [`gaasx_sim::RunReport`].
 pub trait ShardableAlgorithm: Algorithm<Input = CooGraph> {
     /// Executes the algorithm on any [`ShardRunner`], streaming `graph`
-    /// through `grid`, which must be `partition_for_streaming(graph)`.
+    /// through `plan`, which must plan `partition_for_streaming(graph)` in
+    /// blocks of the runner's [`Engine::block_capacity`].
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidInput`] if `grid` was not built from a
-    /// graph of `graph`'s vertex and edge counts, and [`CoreError`] on
+    /// Returns [`CoreError::InvalidInput`] if `plan` does not match
+    /// `graph` or the engine (see [`check_plan`]), and [`CoreError`] on
     /// other invalid inputs or device failures.
-    fn execute_on_grid<R: ShardRunner>(
+    fn execute_on_plan<R: ShardRunner>(
         &self,
         runner: &mut R,
         graph: &CooGraph,
-        grid: &GridPartition,
+        plan: &StreamPlan,
     ) -> Result<AlgoRun<Self::Output>, CoreError>;
 
-    /// Partitions `graph` and executes the algorithm on any
-    /// [`ShardRunner`].
+    /// Partitions and plans `graph` for the runner's engine, then executes
+    /// the algorithm on any [`ShardRunner`].
     ///
     /// # Errors
     ///
-    /// As [`execute_on_grid`](ShardableAlgorithm::execute_on_grid).
+    /// As [`execute_on_plan`](ShardableAlgorithm::execute_on_plan).
     fn execute_on<R: ShardRunner>(
         &self,
         runner: &mut R,
         graph: &CooGraph,
     ) -> Result<AlgoRun<Self::Output>, CoreError> {
-        let grid = partition_for_streaming(graph)?;
-        self.execute_on_grid(runner, graph, &grid)
+        let plan = StreamPlan::for_engine(partition_for_streaming(graph)?, runner.engine());
+        self.execute_on_plan(runner, graph, &plan)
     }
 }
 
@@ -138,6 +140,25 @@ pub fn check_grid(graph: &CooGraph, grid: &GridPartition) -> Result<(), CoreErro
             grid.total_edges(),
             graph.num_vertices(),
             graph.num_edges()
+        )));
+    }
+    Ok(())
+}
+
+/// Checks that `plan` can stream `graph` on `engine`: its grid partitions
+/// a graph shaped like `graph` ([`check_grid`]) and its blocks are sized
+/// to the engine's [`block_capacity`](Engine::block_capacity).
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidInput`] on a mismatch.
+pub fn check_plan(graph: &CooGraph, plan: &StreamPlan, engine: &Engine) -> Result<(), CoreError> {
+    check_grid(graph, plan.grid())?;
+    if plan.capacity() != engine.block_capacity() {
+        return Err(CoreError::InvalidInput(format!(
+            "plan of {}-edge blocks does not fit an engine of {}-edge blocks",
+            plan.capacity(),
+            engine.block_capacity()
         )));
     }
     Ok(())

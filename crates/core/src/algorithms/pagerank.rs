@@ -1,12 +1,13 @@
 //! PageRank mapped to SpMV-multiply (paper §IV, Fig 9(c)).
 
-use gaasx_graph::partition::{GridPartition, TraversalOrder};
+use gaasx_graph::partition::TraversalOrder;
 use gaasx_graph::{CooGraph, Edge};
 use gaasx_xbar::fixed::Quantizer;
 
-use crate::algorithms::{check_grid, AlgoRun, Algorithm, ShardableAlgorithm};
+use crate::algorithms::{check_plan, AlgoRun, Algorithm, ShardableAlgorithm};
 use crate::engine::{CellLayout, Engine};
 use crate::error::CoreError;
+use crate::plan::StreamPlan;
 use crate::sharded::ShardRunner;
 
 /// PageRank on GaaS-X.
@@ -73,13 +74,13 @@ impl Algorithm for PageRank {
 }
 
 impl ShardableAlgorithm for PageRank {
-    fn execute_on_grid<R: ShardRunner>(
+    fn execute_on_plan<R: ShardRunner>(
         &self,
         runner: &mut R,
         graph: &CooGraph,
-        grid: &GridPartition,
+        plan: &StreamPlan,
     ) -> Result<AlgoRun<Vec<f64>>, CoreError> {
-        check_grid(graph, grid)?;
+        check_plan(graph, plan, runner.engine())?;
         if !(0.0..=1.0).contains(&self.damping) {
             return Err(CoreError::InvalidInput(format!(
                 "damping {} outside [0, 1]",
@@ -107,7 +108,6 @@ impl ShardableAlgorithm for PageRank {
             })
             .collect();
 
-        let capacity = runner.engine().block_capacity();
         let mut ranks = vec![1.0f64; n];
         let mut rank_code: Vec<u32> = Vec::with_capacity(n);
         let mut iterations = 0;
@@ -130,14 +130,16 @@ impl ShardableAlgorithm for PageRank {
             // snapshot) and emits `(dst, Σ rank/deg)` contributions per
             // shard.
             let rank_code = &rank_code;
-            let contributions =
-                runner.for_each_shard(grid, TraversalOrder::ColumnMajor, |engine, shard| {
+            let contributions = runner.for_each_shard(
+                plan.grid(),
+                TraversalOrder::ColumnMajor,
+                |engine, shard| {
                     let mut contribs: Vec<(u32, f64)> = Vec::new();
                     let mut hits = gaasx_xbar::HitVector::new(0);
-                    for chunk in shard.edges().chunks(capacity) {
+                    for block in plan.blocks_of(shard) {
                         let cells =
                             |e: &Edge, c: &mut Vec<u32>| c.push(inv_deg_code[e.src.index()]);
-                        let block = engine.load_block(chunk, CellLayout::PerEdge(&cells))?;
+                        engine.load_planned(&block, CellLayout::PerEdge(&cells))?;
                         for &dst in block.distinct_dsts() {
                             engine.search_dst_into(dst, &mut hits);
                             let code = engine.gather_rows(
@@ -150,7 +152,8 @@ impl ShardableAlgorithm for PageRank {
                         }
                     }
                     Ok(contribs)
-                })?;
+                },
+            )?;
 
             // Sequential reduce in canonical shard order on the primary.
             let engine = runner.engine();

@@ -1,12 +1,13 @@
 //! Single-source shortest paths mapped to SpMV-add (paper §IV, Fig 9(b)).
 
-use gaasx_graph::partition::{GridPartition, TraversalOrder};
+use gaasx_graph::partition::TraversalOrder;
 use gaasx_graph::{CooGraph, Edge, VertexId};
 use gaasx_xbar::fixed::Quantizer;
 
-use crate::algorithms::{check_grid, AlgoRun, Algorithm, ShardableAlgorithm};
+use crate::algorithms::{check_plan, AlgoRun, Algorithm, ShardableAlgorithm};
 use crate::engine::{CellLayout, Engine};
 use crate::error::CoreError;
+use crate::plan::StreamPlan;
 use crate::sharded::ShardRunner;
 
 /// Largest distance encodable as a 16-bit MAC input code.
@@ -76,13 +77,13 @@ impl Algorithm for Sssp {
 }
 
 impl ShardableAlgorithm for Sssp {
-    fn execute_on_grid<R: ShardRunner>(
+    fn execute_on_plan<R: ShardRunner>(
         &self,
         runner: &mut R,
         graph: &CooGraph,
-        grid: &GridPartition,
+        plan: &StreamPlan,
     ) -> Result<AlgoRun<Vec<f64>>, CoreError> {
-        check_grid(graph, grid)?;
+        check_plan(graph, plan, runner.engine())?;
         let n = graph.num_vertices() as usize;
         if self.source.index() >= n {
             return Err(CoreError::InvalidInput(format!(
@@ -98,7 +99,6 @@ impl ShardableAlgorithm for Sssp {
             }
         }
         let w_quant = Quantizer::new(1.0, runner.engine().weight_bits())?;
-        let capacity = runner.engine().block_capacity();
 
         let mut dist = vec![f64::INFINITY; n];
         dist[self.source.index()] = 0.0;
@@ -116,18 +116,19 @@ impl ShardableAlgorithm for Sssp {
             let dist_snapshot = &dist;
             let active_snapshot = &active;
             let candidates =
-                runner.for_each_shard(grid, TraversalOrder::RowMajor, |engine, shard| {
+                runner.for_each_shard(plan.grid(), TraversalOrder::RowMajor, |engine, shard| {
                     let mut cands: Vec<(u32, f64)> = Vec::new();
                     let mut hits = gaasx_xbar::HitVector::new(0);
                     let mut results: Vec<(usize, u64)> = Vec::new();
-                    for chunk in shard.edges().chunks(capacity) {
-                        if !chunk.iter().any(|e| active_snapshot[e.src.index()]) {
+                    for block in plan.blocks_of(shard) {
+                        let srcs = block.distinct_srcs();
+                        if !srcs.iter().any(|s| active_snapshot[s.index()]) {
                             continue;
                         }
                         let cells = |e: &Edge, c: &mut Vec<u32>| {
                             c.extend_from_slice(&[w_quant.encode(e.weight), 1])
                         };
-                        let block = engine.load_block(chunk, CellLayout::PerEdge(&cells))?;
+                        engine.load_planned(&block, CellLayout::PerEdge(&cells))?;
                         for &src in block.distinct_srcs() {
                             if !active_snapshot[src.index()] {
                                 continue;

@@ -5,8 +5,9 @@
 //! model (§III-B):
 //!
 //! 1. *Initialization* — [`Engine::new`];
-//! 2. *Data loading* — [`Engine::load_block`] writes a block of ≤128 edges
-//!    into a CAM+MAC bank pair;
+//! 2. *Data loading* — [`Engine::load_planned`] writes a block of ≤128
+//!    edges from a [`StreamPlan`](crate::StreamPlan) into a CAM+MAC bank
+//!    pair ([`Engine::load_block`] loads a one-off slice of edges);
 //! 3. *CAM search* — [`Engine::search_src`] / [`Engine::search_dst`];
 //! 4. *MAC operation* — [`Engine::gather_rows`] (SpMV-multiply style
 //!    accumulation down columns) and [`Engine::propagate_rows`]
@@ -26,6 +27,9 @@
 //! *event-driven* alternative dispatches each block to the
 //! earliest-available bank with no barriers ([`gaasx_sim::des`]).
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 use gaasx_graph::{CooGraph, Edge, GraphError, VertexId};
 use gaasx_sim::des::{BankScheduler, SchedulePolicy};
 use gaasx_sim::pipeline::{pipelined_makespan, serial_makespan, PhasePipe, PipelineClock};
@@ -42,7 +46,7 @@ use gaasx_xbar::{
 
 use crate::config::GaasXConfig;
 use crate::error::CoreError;
-use crate::memo::SearchMemo;
+use crate::plan::{plan_field, BlockTable, KeyField};
 use crate::sfu::Sfu;
 
 /// Effective parallel lanes in the SFU (it contains multiple adders,
@@ -76,15 +80,61 @@ impl std::fmt::Debug for CellLayout<'_> {
     }
 }
 
-/// A loaded block: the controller's metadata for one CAM+MAC bank fill.
+/// A block: the controller's metadata for one CAM+MAC bank fill.
+///
+/// A planned block ([`StreamPlan::blocks_of`](crate::StreamPlan::blocks_of))
+/// borrows its edges and vertex metadata from the plan and carries a
+/// handle to the plan's hit index; a one-off block
+/// ([`Engine::load_block`]) owns them.
 #[derive(Debug, Clone)]
-pub struct Block {
-    rows: Vec<Edge>,
-    distinct_srcs: Vec<VertexId>,
-    distinct_dsts: Vec<VertexId>,
+pub struct Block<'a> {
+    rows: Cow<'a, [Edge]>,
+    distinct_srcs: Cow<'a, [VertexId]>,
+    distinct_dsts: Cow<'a, [VertexId]>,
+    /// The plan table and this block's id in it, for planned blocks.
+    planned: Option<(&'a Arc<BlockTable>, usize)>,
 }
 
-impl Block {
+impl<'a> Block<'a> {
+    /// A planned block: `rows` and the ascending distinct keys borrowed
+    /// from `table`'s plan, `id` its position in the table.
+    pub(crate) fn planned(
+        rows: Cow<'a, [Edge]>,
+        distinct_srcs: Cow<'a, [VertexId]>,
+        distinct_dsts: Cow<'a, [VertexId]>,
+        table: &'a Arc<BlockTable>,
+        id: usize,
+    ) -> Self {
+        Block {
+            rows,
+            distinct_srcs,
+            distinct_dsts,
+            planned: Some((table, id)),
+        }
+    }
+
+    /// A one-off block over `edges`, planned on its own: it owns a copy
+    /// of the edges and its distinct keys, and has no hit index.
+    fn one_off(edges: &[Edge]) -> Block<'static> {
+        let mut scratch = Vec::with_capacity(edges.len());
+        let mut srcs = Vec::new();
+        let mut dsts = Vec::new();
+        plan_field(edges, |e| e.src, &mut scratch, &mut srcs, None);
+        plan_field(edges, |e| e.dst, &mut scratch, &mut dsts, None);
+        Block {
+            rows: Cow::Owned(edges.to_vec()),
+            distinct_srcs: Cow::Owned(srcs),
+            distinct_dsts: Cow::Owned(dsts),
+            planned: None,
+        }
+    }
+
+    /// The plan table and block id, for planned blocks.
+    #[cfg(test)]
+    pub(crate) fn plan_ref(&self) -> Option<(&'a Arc<BlockTable>, usize)> {
+        self.planned
+    }
+
     /// The edge stored at a CAM/MAC row.
     ///
     /// # Panics
@@ -240,25 +290,27 @@ pub struct Engine {
     /// Recovery activity detected by this engine (verify reads, retries,
     /// remaps); merged across sharded workers and surfaced in the report.
     faults: FaultReport,
-    /// Per-block search memo (see [`crate::memo`]); only consulted when
-    /// `memo_active`.
-    memo: SearchMemo,
-    /// Whether memoization is permitted at all: the config's mode can
-    /// resolve to Indexed and no fault model is attached (device state
-    /// must be a pure function of the programmed keys).
-    memo_enabled: bool,
-    /// Whether the *current block* memoizes — re-derived at every
-    /// [`load_block`](Engine::load_block) from the block's resolved
-    /// search mode. A mixed Auto bank memoizes only its Indexed blocks.
-    memo_active: bool,
+    /// Whether searches may replay from a plan's hit index: no fault
+    /// model is attached (stored bits equal the programmed keys) and the
+    /// CAM is wide enough to hold both 32-bit key fields.
+    replays_plans: bool,
+    /// The table of the most recent planned block, kept across loads so
+    /// each engine takes one handle per plan rather than one per load.
+    plan_table: Option<Arc<BlockTable>>,
+    /// The loaded block's id in `plan_table` while its searches replay
+    /// from the hit index (a planned, `Indexed`-resolved block on an
+    /// engine that [`replays_plans`](Engine::replays_plans)).
+    replay: Option<usize>,
+    /// Debug-build scratch for cross-checking every replayed hit vector
+    /// against a linear scan of the CAM without allocating per search.
+    #[cfg(debug_assertions)]
+    check_hits: HitVector,
     /// The querying algorithm's declared access pattern — the
     /// [`SearchCostModel`]'s workload input when resolving `Auto` blocks.
     search_profile: SearchProfile,
     /// Per-block Linear-vs-Indexed cost model, calibrated against the
     /// config's device time base.
     search_costs: SearchCostModel,
-    /// CAM key sequence of the block being loaded (memo registration).
-    key_buf: Vec<u128>,
     /// Reused MAC-code buffer for [`CellLayout::PerEdge`] loading.
     codes_buf: Vec<u32>,
     /// Scratch for the phys→logical hit translation under remapping.
@@ -347,19 +399,17 @@ impl Engine {
             remap_active: false,
             phys_buf,
             faults: FaultReport::default(),
-            memo: SearchMemo::new(),
-            memo_enabled: config.search_mode != SearchMode::Linear && !fault_active,
-            // Per-block; re-derived at each load_block from the resolved
-            // mode. Before any block loads, only a fixed Indexed config
-            // can replay (Auto has nothing resolved yet).
-            memo_active: config.search_mode == SearchMode::Indexed && !fault_active,
+            replays_plans: !fault_active && config.cam_geometry.width_bits >= 64,
+            plan_table: None,
+            replay: None,
+            #[cfg(debug_assertions)]
+            check_hits: HitVector::new(rows),
             search_profile: SearchProfile::default(),
             search_costs: SearchCostModel::calibrated(&config.energy),
-            key_buf: Vec::with_capacity(rows),
-            codes_buf: Vec::new(),
+            codes_buf: Vec::with_capacity(config.mac_geometry.cols),
             hits_scratch: HitVector::new(0),
             inputs_buf: Vec::with_capacity(config.mac_geometry.max_active_rows),
-            mac_out: Vec::new(),
+            mac_out: Vec::with_capacity(config.mac_geometry.max_active_rows),
             chunk_buf: Vec::with_capacity(config.mac_geometry.max_active_rows),
             lines_buf: Vec::with_capacity(config.mac_geometry.max_active_rows),
             config,
@@ -393,17 +443,27 @@ impl Engine {
         self.cam.search_mode()
     }
 
+    /// Whether searches on planned blocks may replay from the plan's hit
+    /// index: no fault model is attached and the CAM holds both 32-bit
+    /// key fields.
+    /// [`StreamPlan::for_engine`](crate::StreamPlan::for_engine) builds
+    /// the index only then.
+    pub fn replays_plans(&self) -> bool {
+        self.replays_plans
+    }
+
     /// Resolves the search mode for a block about to be programmed: fixed
     /// config modes pass through; `Auto` asks the cost model, feeding it
     /// the distinct-key count of the field the declared profile searches
     /// (dense sweeps probe destinations, frontier expansion probes
-    /// sources) and the physical-search multiplier CAM majority voting
-    /// would impose.
+    /// sources), the physical-search multiplier CAM majority voting would
+    /// impose, and whether the block's index is prebuilt by its plan.
     fn resolve_block_mode(
         &self,
         occupancy: usize,
         distinct_srcs: usize,
         distinct_dsts: usize,
+        index_prebuilt: bool,
     ) -> SearchMode {
         match self.config.search_mode {
             SearchMode::Auto => {
@@ -423,6 +483,7 @@ impl Engine {
                     distinct_keys,
                     physical_per_logical,
                     profile: self.search_profile,
+                    index_prebuilt,
                 })
             }
             fixed => fixed,
@@ -570,10 +631,6 @@ impl Engine {
         self.phys2log[spare] = slot;
         self.log2phys[slot] = spare;
         self.remap_active = true;
-        // A remap decouples physical state from the programmed key
-        // sequence; drop any memoized hit vectors. (Defensive: remaps
-        // require an active fault model, which already disables the memo.)
-        self.memo.clear();
         self.faults.row_remaps = self.faults.row_remaps.saturating_add(1);
         if self.tracer.enabled() {
             self.tracer
@@ -663,8 +720,13 @@ impl Engine {
         }
     }
 
-    /// Loads a block of edges into the working CAM+MAC bank (data loading
-    /// phase). Ends any previous block.
+    /// Loads a one-off block of edges into the working CAM+MAC bank (data
+    /// loading phase). Ends any previous block.
+    ///
+    /// The block's distinct keys are collected and sorted on every call,
+    /// and its searches resolve without a prebuilt index. Streaming
+    /// callers plan their grid once and use
+    /// [`load_planned`](Engine::load_planned) instead.
     ///
     /// # Errors
     ///
@@ -674,8 +736,32 @@ impl Engine {
         &mut self,
         edges: &[Edge],
         cells: CellLayout<'_>,
-    ) -> Result<Block, CoreError> {
+    ) -> Result<Block<'static>, CoreError> {
+        let block = Block::one_off(edges);
+        self.load_planned(&block, cells)?;
+        Ok(block)
+    }
+
+    /// Loads `block` into the working CAM+MAC bank (data loading phase).
+    /// Ends any previous block.
+    ///
+    /// A planned block programs straight from its plan: no collect, sort
+    /// or copy. On an engine that [`replays_plans`](Engine::replays_plans),
+    /// a plan with a hit index makes the block's index prebuilt, so `Auto`
+    /// charges no index build; if the block resolves `Indexed`, its
+    /// searches replay from the plan (billed exactly as device searches).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidInput`] if the block exceeds the bank
+    /// capacity, or a device error on bad cell codes.
+    pub fn load_planned(
+        &mut self,
+        block: &Block<'_>,
+        cells: CellLayout<'_>,
+    ) -> Result<(), CoreError> {
         self.check_deadline()?;
+        let edges: &[Edge] = &block.rows;
         if edges.len() > self.block_capacity() {
             return Err(CoreError::InvalidInput(format!(
                 "block of {} edges exceeds bank capacity {}",
@@ -685,53 +771,67 @@ impl Engine {
         }
         self.end_block();
         self.in_block = true;
-
         self.cam.invalidate_all();
-        let mut srcs: Vec<VertexId> = Vec::with_capacity(edges.len());
-        let mut dsts: Vec<VertexId> = Vec::with_capacity(edges.len());
-        for e in edges {
-            srcs.push(e.src);
-            dsts.push(e.dst);
-        }
-        srcs.sort_unstable();
-        srcs.dedup();
-        dsts.sort_unstable();
-        dsts.dedup();
 
-        // Resolve the host search algorithm for this block before
-        // programming: the memo registers key sequences only for blocks
-        // that resolve Indexed, so the decision must precede the loop.
-        let resolved = self.resolve_block_mode(edges.len(), srcs.len(), dsts.len());
+        let indexed = block
+            .planned
+            .filter(|(table, _)| self.replays_plans && table.has_hits());
+        let resolved = self.resolve_block_mode(
+            edges.len(),
+            block.distinct_srcs.len(),
+            block.distinct_dsts.len(),
+            indexed.is_some(),
+        );
         self.cam.set_search_mode(resolved);
-        self.memo_active = self.memo_enabled && resolved == SearchMode::Indexed;
-
-        let mut program_ns = Nanos::ZERO;
-        self.key_buf.clear();
-        let mut codes = std::mem::take(&mut self.codes_buf);
-        for (slot, e) in edges.iter().enumerate() {
-            let key = (u128::from(e.src.raw()) << 32) | u128::from(e.dst.raw());
-            // The CAM key programs as one ternary word; the MAC row
-            // programs its values in the paired array concurrently — the
-            // slower of the two paces the row. Under an active fault model
-            // the slot programs through write-verify/retry/remap.
-            program_ns += match cells {
-                CellLayout::PerEdge(f) => {
-                    codes.clear();
-                    f(e, &mut codes);
-                    self.program_slot(slot, key, Some(&codes))?
-                }
-                CellLayout::Preset => self.program_slot(slot, key, None)?,
-            };
-            if self.memo_active {
-                self.key_buf.push(key);
+        self.replay = None;
+        if let Some((table, id)) = indexed.filter(|_| resolved == SearchMode::Indexed) {
+            if !self
+                .plan_table
+                .as_ref()
+                .is_some_and(|t| Arc::ptr_eq(t, table))
+            {
+                self.plan_table = Some(Arc::clone(table));
             }
+            self.replay = Some(id);
+        }
+
+        // The CAM key programs as one ternary word; the MAC row programs
+        // its values in the paired array concurrently — the slower of the
+        // two paces the row.
+        let mut program_ns = Nanos::ZERO;
+        let mut codes = std::mem::take(&mut self.codes_buf);
+        if self.fault_active {
+            // Each slot programs through write-verify/retry/remap.
+            for (slot, e) in edges.iter().enumerate() {
+                program_ns += match cells {
+                    CellLayout::PerEdge(f) => {
+                        codes.clear();
+                        f(e, &mut codes);
+                        self.program_slot(slot, edge_key(e), Some(&codes))?
+                    }
+                    CellLayout::Preset => self.program_slot(slot, edge_key(e), None)?,
+                };
+            }
+        } else {
+            // Fault-free: every slot is its own physical row and every
+            // write lands on the first attempt.
+            let cam_ns = self.config.energy.row_program_ns(1);
+            // gaasx-lint: hot
+            for (slot, e) in edges.iter().enumerate() {
+                self.cam.write(slot, edge_key(e))?;
+                program_ns += match cells {
+                    CellLayout::PerEdge(f) => {
+                        codes.clear();
+                        f(e, &mut codes);
+                        self.mac.write_row(slot, &codes)?;
+                        cam_ns.max(self.config.energy.row_program_ns(codes.len()))
+                    }
+                    CellLayout::Preset => cam_ns,
+                };
+            }
+            // gaasx-lint: end-hot
         }
         self.codes_buf = codes;
-        if self.memo_active {
-            // Re-loading a block with the same key sequence revives its
-            // memoized hit vectors; a new block starts an empty memo entry.
-            self.memo.begin_block(&self.key_buf);
-        }
 
         let bytes = edges.len() as u64 * self.config.edge_record_bytes;
         self.input_buf.write(bytes);
@@ -750,12 +850,7 @@ impl Engine {
                 .attr("bytes", bytes)
                 .end((start + load_ns).ns());
         }
-
-        Ok(Block {
-            rows: edges.to_vec(),
-            distinct_srcs: srcs,
-            distinct_dsts: dsts,
-        })
+        Ok(())
     }
 
     /// CAM search for all edges with the given source (row-wise key field).
@@ -775,42 +870,56 @@ impl Engine {
     /// [`search_src`](Self::search_src) into a caller-owned buffer so hot
     /// loops allocate nothing. `hits` is overwritten.
     pub fn search_src_into(&mut self, src: VertexId, hits: &mut HitVector) {
-        self.searched_into(u128::from(src.raw()) << 32, 0xFFFF_FFFF_0000_0000, hits);
+        self.searched_into(KeyField::Src, src, hits);
     }
 
     /// [`search_dst`](Self::search_dst) into a caller-owned buffer so hot
     /// loops allocate nothing. `hits` is overwritten.
     pub fn search_dst_into(&mut self, dst: VertexId, hits: &mut HitVector) {
-        self.searched_into(u128::from(dst.raw()), 0xFFFF_FFFF, hits);
+        self.searched_into(KeyField::Dst, dst, hits);
     }
 
-    /// Issues a CAM search, optionally triple-voted against transient
-    /// upsets, and translates physical hit rows back to logical slots.
+    /// Issues a CAM search for `v` in `field`, optionally triple-voted
+    /// against transient upsets, and translates physical hit rows back to
+    /// logical slots.
     ///
     /// The search is *always* billed (time, energy, `cam_searches`) as one
     /// physical CAM operation — the hardware searches every time. When the
-    /// memo is active the host may replay the hit vector a previous search
-    /// on this exact block content derived, which is what makes the memo
-    /// invisible in every [`RunReport`].
-    fn searched_into(&mut self, key: u128, mask: u128, out: &mut HitVector) {
+    /// loaded block replays from its plan, the host reads the hit vector
+    /// from the plan's hit index instead of deriving it from the CAM,
+    /// which is what makes the plan invisible in every [`RunReport`].
+    fn searched_into(&mut self, field: KeyField, v: VertexId, out: &mut HitVector) {
+        let (key, mask) = match field {
+            KeyField::Src => (u128::from(v.raw()) << 32, 0xFFFF_FFFF_0000_0000),
+            KeyField::Dst => (u128::from(v.raw()), 0xFFFF_FFFF),
+        };
         let ns = self.config.energy.cam_search_ns;
         self.current
             .add_phase(Phase::CamSearch, ns, self.record_ops);
         self.trace_op(Phase::CamSearch, ns);
-        if self.memo_active {
+        if let (Some(block), Some(table)) = (self.replay, self.plan_table.as_ref()) {
+            // Outside the fence: gaasx-lint resolves calls by name, and
+            // this `reset` would alias the crate's unrelated `Sfu::reset`.
+            out.reset(self.config.cam_geometry.rows);
             // gaasx-lint: hot
-            if let Some(hit) = self.memo.lookup(key, mask) {
-                out.copy_from(hit);
-                self.cam.count_replayed_search();
-                return;
-            }
+            table.mark_hits(block, field, v, out);
+            self.cam.count_replayed_search();
             // gaasx-lint: end-hot
+            #[cfg(debug_assertions)]
+            {
+                self.cam.scan_into(key, mask, &mut self.check_hits);
+                debug_assert!(
+                    *out == self.check_hits,
+                    "plan-replayed hits diverged from the CAM scan ({field:?} {v})"
+                );
+            }
+            return;
         }
         self.cam.search_into(key, mask, out);
         if self.fault_active && self.config.recovery.cam_double_check {
             // Two extra searches; a per-row majority vote masks any single
             // transient upset. Each re-search is charged like the first.
-            // (A fault path — never memoized, allocation here is fine.)
+            // (A fault path — never replayed, allocation here is fine.)
             self.current
                 .add_phase(Phase::CamSearch, ns, self.record_ops);
             self.trace_op(Phase::CamSearch, ns);
@@ -830,7 +939,7 @@ impl Engine {
             // Remapped slots match at their spare's physical row; report
             // them at their logical slot so algorithms stay oblivious to
             // remapping. (Remaps require an active fault model, so this
-            // never runs on the memoized steady-state path.)
+            // never runs on the replayed path.)
             std::mem::swap(out, &mut self.hits_scratch);
             out.reset(self.hits_scratch.len());
             for phys in self.hits_scratch.iter_ones() {
@@ -839,10 +948,6 @@ impl Engine {
                     out.set(slot);
                 }
             }
-            return;
-        }
-        if self.memo_active {
-            self.memo.insert(key, mask, out);
         }
     }
 
@@ -1181,9 +1286,6 @@ impl Engine {
         if self.in_block {
             self.costs.push(std::mem::take(&mut self.current));
             self.in_block = false;
-            // Cached vectors survive for future re-loads of the same block
-            // content; only the live registration ends with the block.
-            self.memo.end_block();
         }
     }
 
@@ -1288,8 +1390,8 @@ impl Engine {
     /// Clears every per-run accounting accumulator so a resident engine
     /// can serve its next query with a clean report, while leaving device
     /// state in place: programmed CAM/MAC contents, endurance wear maps,
-    /// transient fault RNG streams, spare-row remappings, and warm search
-    /// memos all survive. The deadline is cleared (it is per-query).
+    /// transient fault RNG streams, and spare-row remappings all survive.
+    /// The deadline is cleared (it is per-query).
     pub fn reset_accounting(&mut self) {
         self.costs.clear();
         self.current = BlockCost::default();
@@ -1734,6 +1836,12 @@ impl Engine {
     }
 }
 
+/// The CAM word of an edge: source in the high 32 bits, destination in
+/// the low 32.
+fn edge_key(e: &Edge) -> u128 {
+    (u128::from(e.src.raw()) << 32) | u128::from(e.dst.raw())
+}
+
 /// Streams a graph as blocks of at most `block_size` edges, ordered by the
 /// GridGraph-style shard layout (§II-B): the graph is partitioned into a
 /// 16×16 interval grid and non-empty shards are visited in the requested
@@ -1763,7 +1871,7 @@ mod tests {
         Engine::new(GaasXConfig::small()).unwrap()
     }
 
-    fn fig7_block(engine: &mut Engine) -> Block {
+    fn fig7_block(engine: &mut Engine) -> Block<'static> {
         let g = generators::paper_fig7_graph();
         let cells = |e: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[e.weight as u32, 1]);
         engine
@@ -2405,24 +2513,22 @@ mod tests {
     }
 
     #[test]
-    fn auto_resolves_per_block_and_gates_the_memo_on_the_resolved_mode() {
-        // Regression for the construction-time memo gate: with Auto (the
-        // default) a single bank can mix Linear and Indexed blocks, and
-        // only the Indexed ones may memoize. small() keeps the default
-        // Auto mode and OnePerKey profile.
+    fn auto_resolves_per_block_on_a_mixed_bank() {
+        // With Auto (the default) a single bank can mix Linear and
+        // Indexed one-off blocks. small() keeps the default Auto mode and
+        // OnePerKey profile.
         let mut e = Engine::new(GaasXConfig::small()).unwrap();
         assert_eq!(e.config().search_mode, SearchMode::Auto);
 
         // Dense block: 128 edges, all-distinct dsts → cost model picks
-        // Indexed, which enables the memo for this block.
+        // Indexed.
         let dense: Vec<Edge> = (0..128u32).map(|i| Edge::new(i, 1000 + i, 1.0)).collect();
         let b = e.load_block(&dense, CellLayout::Preset).unwrap();
         assert_eq!(e.resolved_search_mode(), SearchMode::Indexed);
-        assert!(e.memo_active, "Indexed-resolved block must memoize");
         let first = e.search_dst(VertexId::new(1000));
         assert_eq!(first.count(), 1);
-        // The replay path serves the repeat without touching the device's
-        // index bookkeeping — same hits, device counter still advances.
+        // The repeat serves the same hits from the warm index, and the
+        // device counter still advances.
         let searches_before = e.cam.stats().cam_searches;
         let again = e.search_dst(VertexId::new(1000));
         assert_eq!(again, first);
@@ -2431,23 +2537,21 @@ mod tests {
 
         // Degenerate block on the same bank: 100 edges, 2 distinct dsts →
         // 2 searches per visit never amortize an index build; the model
-        // picks Linear and the memo must stay off.
+        // picks Linear.
         let skewed: Vec<Edge> = (0..100u32)
             .map(|i| Edge::new(i, 5000 + i % 2, 1.0))
             .collect();
         let _b2 = e.load_block(&skewed, CellLayout::Preset).unwrap();
         assert_eq!(e.resolved_search_mode(), SearchMode::Linear);
-        assert!(!e.memo_active, "Linear-resolved block must not memoize");
         let hits = e.search_dst(VertexId::new(5000));
         assert_eq!(hits.count(), 50);
         // Repeated searches on the linear block stay correct too.
         assert_eq!(e.search_dst(VertexId::new(5000)), hits);
 
-        // A third dense block flips back to Indexed with the memo alive.
+        // A third dense block flips back to Indexed.
         let dense2: Vec<Edge> = (0..128u32).map(|i| Edge::new(i, 7000 + i, 1.0)).collect();
         let _b3 = e.load_block(&dense2, CellLayout::Preset).unwrap();
         assert_eq!(e.resolved_search_mode(), SearchMode::Indexed);
-        assert!(e.memo_active);
         assert_eq!(e.search_dst(VertexId::new(7003)).count(), 1);
     }
 
@@ -2455,7 +2559,7 @@ mod tests {
     fn fixed_modes_bypass_the_cost_model() {
         // A fixed config mode must never be second-guessed per block: the
         // degenerate 2-distinct-dst shape resolves Linear under Auto, but
-        // an Indexed config keeps Indexed (and its memo).
+        // an Indexed config keeps Indexed.
         let skewed: Vec<Edge> = (0..100u32)
             .map(|i| Edge::new(i, 5000 + i % 2, 1.0))
             .collect();
@@ -2467,7 +2571,6 @@ mod tests {
             .unwrap();
             let _b = e.load_block(&skewed, CellLayout::Preset).unwrap();
             assert_eq!(e.resolved_search_mode(), fixed);
-            assert_eq!(e.memo_active, fixed == SearchMode::Indexed);
         }
     }
 
@@ -2565,5 +2668,62 @@ mod tests {
         assert!(clean.wear_snapshot().is_empty());
         clean.restore_wear(&snap);
         assert!(clean.wear_snapshot().is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Every plan-served hit vector equals a non-billing linear scan
+        /// of the programmed CAM, for both key fields and for keys the
+        /// block does not hold, on all three bank geometries — and each
+        /// search still bills exactly one device search.
+        #[test]
+        fn plan_hits_match_device_scan(
+            n in 1u32..48,
+            pairs in proptest::collection::vec((0u32..48, 0u32..48), 0..600),
+            geometry in 0usize..3,
+        ) {
+            use crate::plan::StreamPlan;
+            // Drawing both ends from few vertices yields parallel edges
+            // and self loops.
+            let edges: Vec<Edge> = pairs
+                .iter()
+                .map(|&(s, d)| Edge::new(s % n, d % n, 1.0))
+                .collect();
+            let graph = CooGraph::from_edges(n, edges).unwrap();
+            let base = [GaasXConfig::small(), GaasXConfig::paper(), GaasXConfig::deep_bank()]
+                [geometry]
+                .clone();
+            for mode in [SearchMode::Auto, SearchMode::Indexed] {
+                let mut e = Engine::new(GaasXConfig {
+                    search_mode: mode,
+                    ..base.clone()
+                })
+                .unwrap();
+                let plan = StreamPlan::for_engine(partition_for_streaming(&graph).unwrap(), &e);
+                assert!(plan.has_hit_index());
+                let (mut hits, mut scan) = (HitVector::new(0), HitVector::new(0));
+                for shard in plan.grid().shards() {
+                    for block in plan.blocks_of(shard) {
+                        e.load_planned(&block, CellLayout::Preset).unwrap();
+                        if mode == SearchMode::Indexed {
+                            assert!(e.replay.is_some(), "an Indexed planned block replays");
+                        }
+                        // Vertex `n` is in no block; most others are
+                        // absent from any one block too.
+                        for v in (0..=n).map(VertexId::new) {
+                            let searches = e.cam.stats().cam_searches;
+                            e.search_src_into(v, &mut hits);
+                            e.cam.scan_into(u128::from(v.raw()) << 32, 0xFFFF_FFFF_0000_0000, &mut scan);
+                            assert_eq!(hits, scan, "src {v}");
+                            e.search_dst_into(v, &mut hits);
+                            e.cam.scan_into(u128::from(v.raw()), 0xFFFF_FFFF, &mut scan);
+                            assert_eq!(hits, scan, "dst {v}");
+                            assert_eq!(e.cam.stats().cam_searches, searches + 2);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

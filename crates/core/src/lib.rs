@@ -11,6 +11,8 @@
 //!   configuration;
 //! * [`engine::Engine`] — controller-level execution primitives (the
 //!   five-phase model of paper §III-B);
+//! * [`StreamPlan`] — a graph's streaming grid and per-block metadata,
+//!   planned once and shared by every engine that streams it;
 //! * [`algorithms`] — PageRank, SSSP, BFS, and collaborative filtering
 //!   mappings (paper §IV);
 //! * [`config::table1_components`] — the published area/power inventory.
@@ -39,12 +41,12 @@
 
 mod accelerator;
 mod error;
-mod memo;
 mod sfu;
 
 pub mod algorithms;
 pub mod config;
 pub mod engine;
+pub mod plan;
 pub mod sharded;
 
 pub use accelerator::{GaasX, RunOutcome};
@@ -53,5 +55,6 @@ pub use config::{GaasXConfig, RecoveryPolicy};
 pub use engine::WearSnapshot;
 pub use error::CoreError;
 pub use gaasx_xbar::{SearchCostModel, SearchMode, SearchProfile};
+pub use plan::StreamPlan;
 pub use sfu::Sfu;
 pub use sharded::{ShardRunner, ShardedEngine};

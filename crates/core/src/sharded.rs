@@ -7,8 +7,9 @@
 //! over the block-cost stream in canonical order. [`ShardedEngine`]
 //! exploits exactly that split:
 //!
-//! * shards are dealt round-robin to `jobs` worker [`Engine`]s, each
-//!   running on its own OS thread (scoped; no `'static` bounds needed);
+//! * shards are dealt round-robin to `jobs` worker [`Engine`]s; worker 0
+//!   runs on the calling thread and workers `1..jobs` each on a scoped OS
+//!   thread (no `'static` bounds needed), so `jobs == 1` spawns nothing;
 //! * every worker drains its committed `BlockCost`s after each shard,
 //!   and the merge re-appends them to the full-bank *primary* engine in
 //!   canonical shard-stream order;
@@ -113,6 +114,11 @@ impl ShardRunner for Engine {
     }
 }
 
+/// One shard's drained block costs and result, at its stream position.
+type ShardYield<T> = (usize, Vec<BlockCost>, T);
+/// A worker's shard results, or the costs it salvaged and its error.
+type WorkerOutcome<T> = Result<Vec<ShardYield<T>>, (Vec<(usize, Vec<BlockCost>)>, CoreError)>;
+
 /// A primary engine plus `jobs` worker engines executing the shard stream
 /// in parallel (see the module docs for the merge model).
 #[derive(Debug)]
@@ -212,8 +218,8 @@ impl ShardedEngine {
 
     /// Clears per-run accounting on the primary and every worker so a
     /// resident sharded engine can serve its next query with a clean
-    /// report (see [`Engine::reset_accounting`] — device state, wear, and
-    /// warm memos survive).
+    /// report (see [`Engine::reset_accounting`] — device state and wear
+    /// survive).
     ///
     /// Worker tracers are re-attached from the primary's tracer: `finish`
     /// folds worker metric registries into the primary *without* clearing
@@ -324,48 +330,48 @@ impl ShardRunner for ShardedEngine {
         // Worker `j` takes shards j, j+J, j+2J, ... — round-robin keeps
         // the assignment independent of worker speed, so reassembly needs
         // no bookkeeping beyond the shard's stream position.
-        type ShardYield<T> = (usize, Vec<BlockCost>, T);
-        type ShardAbort = (Vec<(usize, Vec<BlockCost>)>, CoreError);
-        let per_worker: Vec<Result<Vec<ShardYield<T>>, ShardAbort>> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .workers
+        let run_worker = move |j: usize, worker: &mut Engine| -> WorkerOutcome<T> {
+            let mut yielded: Vec<ShardYield<T>> = Vec::new();
+            let mut pos = j;
+            while pos < shards_ref.len() {
+                match f(worker, shards_ref[pos]) {
+                    // Drain the shard's block costs immediately: they are
+                    // re-appended in stream order below.
+                    Ok(result) => yielded.push((pos, worker.take_costs(), result)),
+                    Err(e) => {
+                        // Salvage the costs of this worker's completed
+                        // shards plus the failing shard's partial costs, so
+                        // the partial report still bills the aborted work.
+                        let mut costs: Vec<(usize, Vec<BlockCost>)> =
+                            yielded.into_iter().map(|(p, c, _)| (p, c)).collect();
+                        costs.push((pos, worker.take_costs()));
+                        return Err((costs, e));
+                    }
+                }
+                pos += jobs;
+            }
+            Ok(yielded)
+        };
+        // Worker 0 runs on the calling thread, so `jobs == 1` never spawns
+        // a thread; workers 1.. run on scoped threads alongside it.
+        let per_worker: Vec<WorkerOutcome<T>> = match self.workers.split_first_mut() {
+            None => Vec::new(),
+            Some((first, rest)) => crossbeam::thread::scope(|scope| {
+                let handles: Vec<_> = rest
                     .iter_mut()
                     .enumerate()
-                    .map(|(j, worker)| {
-                        scope.spawn(move || {
-                            let mut yielded: Vec<ShardYield<T>> = Vec::new();
-                            let mut pos = j;
-                            while pos < shards_ref.len() {
-                                match f(worker, shards_ref[pos]) {
-                                    // Drain the shard's block costs
-                                    // immediately: they are re-appended in
-                                    // stream order below.
-                                    Ok(result) => yielded.push((pos, worker.take_costs(), result)),
-                                    Err(e) => {
-                                        // Salvage the costs of this worker's
-                                        // completed shards plus the failing
-                                        // shard's partial costs, so the
-                                        // partial report still bills the
-                                        // aborted work.
-                                        let mut costs: Vec<(usize, Vec<BlockCost>)> =
-                                            yielded.into_iter().map(|(p, c, _)| (p, c)).collect();
-                                        costs.push((pos, worker.take_costs()));
-                                        return Err((costs, e));
-                                    }
-                                }
-                                pos += jobs;
-                            }
-                            Ok(yielded)
-                        })
-                    })
+                    .map(|(j, worker)| scope.spawn(move || run_worker(j + 1, worker)))
                     .collect();
-                handles
-                    .into_iter()
-                    // gaasx-lint: allow(panic-in-lib) -- a panicked worker has already torn down the run; re-raising on join is the only sound option
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            });
+                let mut outcomes = vec![run_worker(0, first)];
+                outcomes.extend(
+                    handles
+                        .into_iter()
+                        // gaasx-lint: allow(panic-in-lib) -- a panicked worker has already torn down the run; re-raising on join is the only sound option
+                        .map(|h| h.join().expect("shard worker panicked")),
+                );
+                outcomes
+            }),
+        };
 
         let mut slots: Vec<Option<(Vec<BlockCost>, T)>> = Vec::new();
         slots.resize_with(shards.len(), || None);
@@ -511,14 +517,48 @@ mod tests {
     #[test]
     fn worker_errors_surface() {
         let (_, g) = grid(400, 9);
-        let mut sharded = ShardedEngine::new(GaasXConfig::small(), 2).unwrap();
-        let r = sharded.for_each_shard(&g, TraversalOrder::RowMajor, |engine, shard| {
-            // Force a block-capacity failure on a real shard.
-            let too_big = vec![Edge::unweighted(0, 1); engine.block_capacity() + 1];
-            let _ = shard;
-            engine.load_block(&too_big, CellLayout::Preset).map(|_| ())
+        for jobs in [1, 2] {
+            let mut sharded = ShardedEngine::new(GaasXConfig::small(), jobs).unwrap();
+            let r = sharded.for_each_shard(&g, TraversalOrder::RowMajor, |engine, shard| {
+                // Force a block-capacity failure on a real shard.
+                let too_big = vec![Edge::unweighted(0, 1); engine.block_capacity() + 1];
+                let _ = shard;
+                engine.load_block(&too_big, CellLayout::Preset).map(|_| ())
+            });
+            assert!(matches!(r, Err(CoreError::InvalidInput(_))), "jobs={jobs}");
+        }
+        // Errors raised only on spawned workers (not on worker 0, which
+        // runs on this thread) surface too.
+        let caller = std::thread::current().id();
+        let mut sharded = ShardedEngine::new(GaasXConfig::small(), 3).unwrap();
+        let r = sharded.for_each_shard(&g, TraversalOrder::RowMajor, |_, _| {
+            if std::thread::current().id() == caller {
+                Ok(())
+            } else {
+                Err(CoreError::InvalidInput("spawned worker".into()))
+            }
         });
         assert!(matches!(r, Err(CoreError::InvalidInput(_))));
+    }
+
+    #[test]
+    fn worker_zero_runs_on_the_calling_thread() {
+        let (_, g) = grid(900, 21);
+        let caller = std::thread::current().id();
+        for jobs in [1, 3] {
+            let mut sharded = ShardedEngine::new(GaasXConfig::small(), jobs).unwrap();
+            let ran_on = sharded
+                .for_each_shard(&g, TraversalOrder::RowMajor, |_, _| {
+                    Ok(std::thread::current().id())
+                })
+                .unwrap();
+            assert!(ran_on.len() > jobs, "jobs={jobs}: every worker gets shards");
+            // Results come back in stream order; position `pos` ran on
+            // worker `pos % jobs`, and only worker 0 is the caller.
+            for (pos, id) in ran_on.iter().enumerate() {
+                assert_eq!(*id == caller, pos % jobs == 0, "jobs={jobs} pos={pos}");
+            }
+        }
     }
 
     #[test]

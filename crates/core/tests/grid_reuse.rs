@@ -1,14 +1,16 @@
-//! Streaming a prebuilt grid is bit-identical to partitioning per call:
-//! for every [`ShardableAlgorithm`], `execute_on_grid` with
-//! `partition_for_streaming(g)` returns the same output and the same
+//! Streaming a prebuilt plan is bit-identical to planning per call: for
+//! every [`ShardableAlgorithm`], `execute_on_plan` with a [`StreamPlan`]
+//! of `partition_for_streaming(g)` returns the same output and the same
 //! [`gaasx_sim::RunReport`] as `execute_on`, on the serial engine and on
-//! a two-worker sharded engine. A grid built from another graph is
-//! rejected as invalid input.
+//! a two-worker sharded engine. A plan of another graph, or of another
+//! block capacity, is rejected as invalid input.
 
 #![allow(clippy::unwrap_used)]
 use gaasx_core::algorithms::{Bfs, ConnectedComponents, PageRank, Sssp};
 use gaasx_core::engine::{partition_for_streaming, Engine};
-use gaasx_core::{CoreError, GaasXConfig, ShardRunner, ShardableAlgorithm, ShardedEngine};
+use gaasx_core::{
+    CoreError, GaasXConfig, ShardRunner, ShardableAlgorithm, ShardedEngine, StreamPlan,
+};
 use gaasx_graph::generators::{self, rmat, RmatConfig};
 use gaasx_graph::partition::GridPartition;
 use gaasx_graph::{CooGraph, VertexId};
@@ -50,14 +52,17 @@ where
     let a = algorithm.execute_on(&mut one_shot, graph).unwrap();
     let a_report = one_shot.report(algorithm.name(), a.iterations, graph.num_edges());
 
-    let mut prebuilt = R::fresh();
-    let b = algorithm
-        .execute_on_grid(&mut prebuilt, graph, grid)
-        .unwrap();
-    let b_report = prebuilt.report(algorithm.name(), b.iterations, graph.num_edges());
-
-    assert_eq!(a, b, "{} output diverged", algorithm.name());
-    assert_eq!(a_report, b_report, "{} report diverged", algorithm.name());
+    let plan = StreamPlan::for_engine(grid.clone(), R::fresh().engine());
+    // Twice through one plan, as a resident graph streams it per query.
+    for _ in 0..2 {
+        let mut prebuilt = R::fresh();
+        let b = algorithm
+            .execute_on_plan(&mut prebuilt, graph, &plan)
+            .unwrap();
+        let b_report = prebuilt.report(algorithm.name(), b.iterations, graph.num_edges());
+        assert_eq!(a, b, "{} output diverged", algorithm.name());
+        assert_eq!(a_report, b_report, "{} report diverged", algorithm.name());
+    }
 }
 
 fn assert_all_identical<R: Finish>(graph: &CooGraph) {
@@ -75,7 +80,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn execute_on_grid_matches_execute_on(
+    fn execute_on_plan_matches_execute_on(
         vertex_exp in 4u32..8,
         edges in 20usize..400,
         seed in 0u64..1_000,
@@ -87,28 +92,37 @@ proptest! {
 }
 
 #[test]
-fn foreign_grid_is_invalid_input() {
+fn foreign_plan_is_invalid_input() {
     let graph = rmat(&RmatConfig::new(1 << 5, 120).with_seed(3)).unwrap();
-    // Another vertex count, and the same vertex count with other edges.
+    let capacity = Engine::fresh().block_capacity();
+    // Another vertex count, the same vertex count with other edges, and
+    // the right grid in blocks of another capacity.
     let foreign = [
-        partition_for_streaming(&generators::path_graph(10)).unwrap(),
-        partition_for_streaming(&CooGraph::empty(graph.num_vertices())).unwrap(),
+        StreamPlan::new(
+            partition_for_streaming(&generators::path_graph(10)).unwrap(),
+            capacity,
+        ),
+        StreamPlan::new(
+            partition_for_streaming(&CooGraph::empty(graph.num_vertices())).unwrap(),
+            capacity,
+        ),
+        StreamPlan::new(partition_for_streaming(&graph).unwrap(), capacity / 2),
     ];
     let source = VertexId::new(0);
-    for grid in &foreign {
+    for plan in &foreign {
         let mut engine = Engine::fresh();
         let errs = [
             PageRank::default()
-                .execute_on_grid(&mut engine, &graph, grid)
+                .execute_on_plan(&mut engine, &graph, plan)
                 .map(|_| ()),
             Sssp::from_source(source)
-                .execute_on_grid(&mut engine, &graph, grid)
+                .execute_on_plan(&mut engine, &graph, plan)
                 .map(|_| ()),
             Bfs::from_source(source)
-                .execute_on_grid(&mut engine, &graph, grid)
+                .execute_on_plan(&mut engine, &graph, plan)
                 .map(|_| ()),
             ConnectedComponents::new()
-                .execute_on_grid(&mut engine, &graph, grid)
+                .execute_on_plan(&mut engine, &graph, plan)
                 .map(|_| ()),
         ];
         for err in errs {

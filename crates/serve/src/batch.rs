@@ -26,13 +26,13 @@
 //! cheaper than the sum of its one-shot parts on any graph where sources
 //! share blocks.
 
-use gaasx_graph::partition::{GridPartition, TraversalOrder};
+use gaasx_graph::partition::TraversalOrder;
 use gaasx_graph::{CooGraph, Edge, VertexId};
 use gaasx_xbar::fixed::Quantizer;
 
-use gaasx_core::algorithms::check_grid;
+use gaasx_core::algorithms::check_plan;
 use gaasx_core::engine::CellLayout;
-use gaasx_core::{CoreError, ShardRunner};
+use gaasx_core::{CoreError, ShardRunner, StreamPlan};
 
 /// Largest distance encodable as a 16-bit MAC input code (same device
 /// limit the one-shot BFS/SSSP mappings enforce).
@@ -50,23 +50,25 @@ pub struct BatchOutcome {
 
 /// Runs BFS (`weighted == false`) or SSSP (`weighted == true`) from every
 /// vertex in `sources` over `graph`, sharing block loads across queries.
-/// `grid` is the graph's streaming layout,
-/// [`partition_for_streaming`](gaasx_core::engine::partition_for_streaming)`(graph)`,
-/// built once per resident graph by the caller.
+/// `plan` is the graph's streaming plan — a [`StreamPlan`] of
+/// [`partition_for_streaming`](gaasx_core::engine::partition_for_streaming)`(graph)`
+/// for the runner's engine — built once per resident graph by the caller.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidInput`] for an empty batch, an
-/// out-of-range source, (SSSP) negative edge weights, or a `grid` that
-/// does not partition `graph`; propagates device errors from the engine.
+/// out-of-range source, (SSSP) negative edge weights, or a `plan` that
+/// does not match `graph` or the engine
+/// ([`check_plan`]); propagates device
+/// errors from the engine.
 pub fn run_batch<R: ShardRunner>(
     runner: &mut R,
     graph: &CooGraph,
-    grid: &GridPartition,
+    plan: &StreamPlan,
     weighted: bool,
     sources: &[VertexId],
 ) -> Result<BatchOutcome, CoreError> {
-    check_grid(graph, grid)?;
+    check_plan(graph, plan, runner.engine())?;
     let n = graph.num_vertices() as usize;
     let k = sources.len();
     if k == 0 {
@@ -95,8 +97,6 @@ pub fn run_batch<R: ShardRunner>(
         runner.preset_mac(1)?;
         None
     };
-    let capacity = runner.engine().block_capacity();
-
     let mut dist: Vec<Vec<f64>> = vec![vec![f64::INFINITY; n]; k];
     let mut frontier: Vec<Vec<bool>> = vec![vec![false; n]; k];
     for (q, source) in sources.iter().enumerate() {
@@ -121,17 +121,17 @@ pub fn run_batch<R: ShardRunner>(
         let frontier_snapshot = &frontier;
         let active_snapshot = &active;
         let candidates =
-            runner.for_each_shard(grid, TraversalOrder::RowMajor, |engine, shard| {
+            runner.for_each_shard(plan.grid(), TraversalOrder::RowMajor, |engine, shard| {
                 let mut cands: Vec<Vec<(u32, f64)>> = vec![Vec::new(); k];
                 let mut hits = gaasx_xbar::HitVector::new(0);
                 let mut results: Vec<(usize, u64)> = Vec::new();
-                for chunk in shard.edges().chunks(capacity) {
+                for block in plan.blocks_of(shard) {
                     // One load serves every query with a frontier source
-                    // in the chunk; queries without one contribute no
+                    // in the block; queries without one contribute no
                     // searches — exactly the one-shot skip condition.
+                    let srcs = block.distinct_srcs();
                     let wanted = |q: usize| {
-                        active_snapshot[q]
-                            && chunk.iter().any(|e| frontier_snapshot[q][e.src.index()])
+                        active_snapshot[q] && srcs.iter().any(|s| frontier_snapshot[q][s.index()])
                     };
                     if !(0..k).any(wanted) {
                         continue;
@@ -147,7 +147,7 @@ pub fn run_batch<R: ShardRunner>(
                     } else {
                         CellLayout::Preset
                     };
-                    let block = engine.load_block(chunk, layout)?;
+                    engine.load_planned(&block, layout)?;
                     for (q, q_cands) in cands.iter_mut().enumerate() {
                         if !wanted(q) {
                             continue;
@@ -225,8 +225,10 @@ mod tests {
     use gaasx_core::GaasXConfig;
     use gaasx_graph::generators;
 
-    fn grid(g: &CooGraph) -> GridPartition {
-        partition_for_streaming(g).unwrap()
+    /// The plan a small-config engine streams `g` through.
+    fn plan(g: &CooGraph) -> StreamPlan {
+        let engine = Engine::new(GaasXConfig::small()).unwrap();
+        StreamPlan::for_engine(partition_for_streaming(g).unwrap(), &engine)
     }
 
     fn rmat(edges: usize, seed: u64) -> CooGraph {
@@ -239,7 +241,7 @@ mod tests {
         for weighted in [false, true] {
             let sources: Vec<VertexId> = [0u32, 1, 5].iter().map(|&s| VertexId::new(s)).collect();
             let mut engine = Engine::new(GaasXConfig::small()).unwrap();
-            let batch = run_batch(&mut engine, &g, &grid(&g), weighted, &sources).unwrap();
+            let batch = run_batch(&mut engine, &g, &plan(&g), weighted, &sources).unwrap();
             for (q, &source) in sources.iter().enumerate() {
                 let mut one = Engine::new(GaasXConfig::small()).unwrap();
                 let run = if weighted {
@@ -261,7 +263,7 @@ mod tests {
         let g = rmat(600, 7);
         let sources: Vec<VertexId> = [0u32, 2, 3, 9].iter().map(|&s| VertexId::new(s)).collect();
         let mut engine = Engine::new(GaasXConfig::small()).unwrap();
-        run_batch(&mut engine, &g, &grid(&g), true, &sources).unwrap();
+        run_batch(&mut engine, &g, &plan(&g), true, &sources).unwrap();
         let batch_ns = engine
             .finish("gaasx", "sssp_batch", "t", 1, g.num_edges() as u64)
             .elapsed_ns;
@@ -284,13 +286,18 @@ mod tests {
     fn rejects_bad_batches() {
         let g = generators::path_graph(4);
         let mut engine = Engine::new(GaasXConfig::small()).unwrap();
-        assert!(run_batch(&mut engine, &g, &grid(&g), false, &[]).is_err());
-        assert!(run_batch(&mut engine, &g, &grid(&g), false, &[VertexId::new(9)]).is_err());
+        assert!(run_batch(&mut engine, &g, &plan(&g), false, &[]).is_err());
+        assert!(run_batch(&mut engine, &g, &plan(&g), false, &[VertexId::new(9)]).is_err());
         let neg = CooGraph::from_edges(2, vec![Edge::new(0, 1, -2.0)]).unwrap();
-        assert!(run_batch(&mut engine, &neg, &grid(&neg), true, &[VertexId::new(0)]).is_err());
+        assert!(run_batch(&mut engine, &neg, &plan(&neg), true, &[VertexId::new(0)]).is_err());
         let other = generators::path_graph(5);
         assert!(matches!(
-            run_batch(&mut engine, &g, &grid(&other), false, &[VertexId::new(0)]),
+            run_batch(&mut engine, &g, &plan(&other), false, &[VertexId::new(0)]),
+            Err(CoreError::InvalidInput(_))
+        ));
+        let narrow = StreamPlan::new(partition_for_streaming(&g).unwrap(), 16);
+        assert!(matches!(
+            run_batch(&mut engine, &g, &narrow, false, &[VertexId::new(0)]),
             Err(CoreError::InvalidInput(_))
         ));
     }
@@ -300,7 +307,7 @@ mod tests {
         let g = generators::path_graph(5);
         let mut engine = Engine::new(GaasXConfig::small()).unwrap();
         let sources = [VertexId::new(1), VertexId::new(1)];
-        let batch = run_batch(&mut engine, &g, &grid(&g), false, &sources).unwrap();
+        let batch = run_batch(&mut engine, &g, &plan(&g), false, &sources).unwrap();
         assert_eq!(batch.values[0], batch.values[1]);
         assert_eq!(batch.iterations[0], batch.iterations[1]);
     }

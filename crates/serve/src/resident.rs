@@ -1,15 +1,15 @@
 //! Graphs resident on crossbar banks across queries.
 //!
 //! A [`ResidentGraph`] keeps a programmed [`ShardedEngine`] alive between
-//! queries so consecutive queries skip engine construction and reuse the
-//! warm search memo.
+//! queries so consecutive queries skip engine construction.
 //!
-//! Each registered graph is partitioned once, on its first query: the
-//! [`partition_for_streaming`] grid is cached, and every query streams it
-//! through [`ShardableAlgorithm::execute_on_grid`] or [`run_batch`]. The
-//! grid is host-side preprocessing of the registered graph (paper §II-B),
-//! not bank state, so it survives eviction and panic replacement.
-//! Registration does no partitioning and cannot fail.
+//! Each registered graph is partitioned and planned once, on its first
+//! query: the [`StreamPlan`] of its [`partition_for_streaming`] grid is
+//! cached, and every query streams it through
+//! [`ShardableAlgorithm::execute_on_plan`] or [`run_batch`]. The plan is
+//! host-side preprocessing of the registered graph (paper §II-B), not
+//! bank state, so it survives eviction and panic replacement.
+//! Registration does no partitioning or planning and cannot fail.
 //!
 //! Per-query accounting is wiped with
 //! [`ShardedEngine::reset_accounting`] while device state — endurance
@@ -22,13 +22,13 @@
 //! on the *same* modeled banks, so the wear ledger is carried over via
 //! [`WearSnapshot`].
 
-use gaasx_graph::partition::GridPartition;
+use gaasx_graph::partition::TraversalOrder;
 use gaasx_graph::{CooGraph, VertexId};
 use gaasx_sim::Nanos;
 
 use gaasx_core::algorithms::{Bfs, ShardableAlgorithm, Sssp};
 use gaasx_core::engine::partition_for_streaming;
-use gaasx_core::{CoreError, GaasXConfig, ShardedEngine, WearSnapshot};
+use gaasx_core::{CoreError, GaasXConfig, ShardRunner, ShardedEngine, StreamPlan, WearSnapshot};
 
 use crate::batch::run_batch;
 use crate::server::{QueryKind, QueryOutput};
@@ -41,9 +41,9 @@ pub struct ResidentGraph {
     config: GaasXConfig,
     jobs: usize,
     exec: Option<ShardedEngine>,
-    /// The graph's streaming grid, built on the first query and kept for
+    /// The graph's streaming plan, built on the first query and kept for
     /// the graph's lifetime (across evictions and panic replacements).
-    grid: Option<GridPartition>,
+    plan: Option<StreamPlan>,
     /// Dispatch sequence number of the most recent query — the LRU key.
     last_used: u64,
     queries_served: u64,
@@ -60,7 +60,7 @@ impl ResidentGraph {
             config,
             jobs,
             exec: None,
-            grid: None,
+            plan: None,
             last_used: 0,
             queries_served: 0,
             programs: 0,
@@ -125,8 +125,8 @@ impl ResidentGraph {
     }
 
     /// Drops the programmed engines, freeing the modeled banks. The next
-    /// query reprograms from scratch (fresh wear, fresh memo) but streams
-    /// the cached grid: eviction does not re-partition the graph.
+    /// query reprograms from scratch (fresh wear) but streams the cached
+    /// plan: eviction does not re-partition or re-plan the graph.
     pub fn evict(&mut self) {
         self.exec = None;
     }
@@ -185,9 +185,12 @@ impl ResidentGraph {
         let exec = self.exec.as_mut().ok_or_else(|| {
             CoreError::InvalidInput(format!("graph {:?} is not resident", self.name))
         })?;
-        let grid = match &mut self.grid {
-            Some(grid) => grid,
-            empty => empty.insert(partition_for_streaming(&self.graph)?),
+        let plan = match &mut self.plan {
+            Some(plan) => plan,
+            empty => empty.insert(StreamPlan::for_engine(
+                partition_for_streaming(&self.graph)?,
+                exec.engine(),
+            )),
         };
         exec.set_search_profile(gaasx_xbar::SearchProfile::Frontier);
         exec.set_deadline(deadline);
@@ -195,24 +198,36 @@ impl ResidentGraph {
         type QueryRun = (Vec<Vec<f64>>, Vec<u32>, &'static str);
         let run: Result<QueryRun, CoreError> = match kind {
             QueryKind::Bfs { source } => Bfs::from_source(VertexId::new(*source))
-                .execute_on_grid(exec, &self.graph, grid)
+                .execute_on_plan(exec, &self.graph, plan)
                 .map(|r| (vec![r.output], vec![r.iterations], "bfs")),
             QueryKind::Sssp { source } => Sssp::from_source(VertexId::new(*source))
-                .execute_on_grid(exec, &self.graph, grid)
+                .execute_on_plan(exec, &self.graph, plan)
                 .map(|r| (vec![r.output], vec![r.iterations], "sssp")),
             QueryKind::BatchBfs { sources } => {
                 let sources: Vec<VertexId> = sources.iter().map(|&s| VertexId::new(s)).collect();
-                run_batch(exec, &self.graph, grid, false, &sources)
+                run_batch(exec, &self.graph, plan, false, &sources)
                     .map(|b| (b.values, b.iterations, "bfs_batch"))
             }
             QueryKind::BatchSssp { sources } => {
                 let sources: Vec<VertexId> = sources.iter().map(|&s| VertexId::new(s)).collect();
-                run_batch(exec, &self.graph, grid, true, &sources)
+                run_batch(exec, &self.graph, plan, true, &sources)
                     .map(|b| (b.values, b.iterations, "sssp_batch"))
             }
             QueryKind::DebugPanic => {
-                // gaasx-lint: allow(panic-in-lib) -- deliberate fault-injection probe for the serve boundary's catch_unwind guard
-                panic!("deliberate debug panic injected into worker")
+                fn boom() -> ! {
+                    // gaasx-lint: allow(panic-in-lib) -- deliberate fault-injection probe for the serve boundary's catch_unwind guard
+                    panic!("deliberate debug panic injected into worker")
+                }
+                // The probe panics inside the shard pass, where a real
+                // worker fault would: worker 0's shards run on this
+                // thread, the rest on scoped worker threads. A graph with
+                // no shards panics here directly.
+                let _ = exec.for_each_shard(
+                    plan.grid(),
+                    TraversalOrder::RowMajor,
+                    |_, _| -> Result<(), CoreError> { boom() },
+                );
+                boom()
             }
         };
         match run {
@@ -293,11 +308,12 @@ mod tests {
         assert_eq!(r.programs(), 2);
     }
 
-    /// Data pointer of the cached grid's first shard: unchanged exactly
-    /// when the grid was not rebuilt.
-    fn grid_id(r: &ResidentGraph) -> *const gaasx_graph::Edge {
-        let grid = r.grid.as_ref().expect("grid built by the first query");
-        grid.shards()
+    /// Data pointer of the cached plan grid's first shard: unchanged
+    /// exactly when the plan was not rebuilt.
+    fn plan_id(r: &ResidentGraph) -> *const gaasx_graph::Edge {
+        let plan = r.plan.as_ref().expect("plan built by the first query");
+        plan.grid()
+            .shards()
             .next()
             .expect("non-empty graph")
             .edges()
@@ -314,14 +330,14 @@ mod tests {
                 sources: vec![0, 3, 7],
             },
         ];
-        assert!(r.grid.is_none());
+        assert!(r.plan.is_none());
         r.ensure_resident().unwrap();
-        assert!(r.grid.is_none(), "programming banks does not partition");
+        assert!(r.plan.is_none(), "programming banks does not partition");
         let before: Vec<QueryOutput> = kinds
             .iter()
             .map(|k| r.run_query(k, None).unwrap())
             .collect();
-        let grid = grid_id(&r);
+        let plan = plan_id(&r);
 
         r.evict();
         assert!(r.ensure_resident().unwrap());
@@ -330,11 +346,41 @@ mod tests {
             .map(|k| r.run_query(k, None).unwrap())
             .collect();
         assert_eq!(before, after);
-        assert_eq!(grid_id(&r), grid, "eviction must keep the grid");
+        assert_eq!(plan_id(&r), plan, "eviction must keep the plan");
 
         r.replace_after_panic().unwrap();
         assert_eq!(r.run_query(&kinds[1], None).unwrap(), before[1]);
-        assert_eq!(grid_id(&r), grid, "panic replacement must keep the grid");
+        assert_eq!(plan_id(&r), plan, "panic replacement must keep the plan");
+    }
+
+    #[test]
+    fn a_panic_on_worker_zero_is_isolated_by_replacement() {
+        // The probe panics inside the shard pass; worker 0's shards run
+        // on the calling thread, so with `jobs = 1` the panic unwinds
+        // straight through `run_query`, and with `jobs = 2` it does too
+        // while worker 1 panics on its own thread.
+        for jobs in [1, 2] {
+            let mut r = resident(jobs);
+            r.ensure_resident().unwrap();
+            let kind = QueryKind::Sssp { source: 0 };
+            let before = r.run_query(&kind, None).unwrap();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                r.run_query(&QueryKind::DebugPanic, None)
+            }));
+            let payload = caught.expect_err("the probe must panic");
+            let detail = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or_default();
+            assert!(
+                detail.contains("deliberate debug panic"),
+                "jobs={jobs}: {detail}"
+            );
+            r.replace_after_panic().unwrap();
+            assert_eq!(r.run_query(&kind, None).unwrap(), before, "jobs={jobs}");
+            assert_eq!(r.programs(), 2, "jobs={jobs}");
+        }
     }
 
     #[test]

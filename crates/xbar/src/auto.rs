@@ -75,6 +75,10 @@ pub struct BlockShape {
     pub physical_per_logical: u32,
     /// The querying algorithm's declared access pattern.
     pub profile: SearchProfile,
+    /// Whether the block's exact-match index already exists (an engine
+    /// replays a planned block from its plan's index), so serving it
+    /// indexed costs no build.
+    pub index_prebuilt: bool,
 }
 
 /// Host-side per-operation costs of the two search algorithms, in
@@ -130,12 +134,18 @@ impl SearchCostModel {
     }
 
     /// Modeled host cost of serving one block visit through the index:
-    /// one build over the valid entries, then per-search probe plus hit
-    /// enumeration (average hits per probe = occupancy / distinct keys).
+    /// one build over the valid entries (none when the index is
+    /// prebuilt), then per-search probe plus hit enumeration (average
+    /// hits per probe = occupancy / distinct keys).
     pub fn indexed_ns(&self, shape: &BlockShape) -> Nanos {
         let d = shape.distinct_keys.max(1) as f64;
         let hits_per_probe = shape.occupancy as f64 / d;
-        shape.occupancy as f64 * self.index_build_row_ns
+        let build_ns = if shape.index_prebuilt {
+            Nanos::ZERO
+        } else {
+            shape.occupancy as f64 * self.index_build_row_ns
+        };
+        build_ns
             + self.expected_searches(shape)
                 * (self.index_probe_ns + hits_per_probe * self.index_hit_ns)
     }
@@ -174,6 +184,7 @@ mod tests {
             distinct_keys: 96,
             physical_per_logical: voting,
             profile,
+            index_prebuilt: false,
         }
     }
 
@@ -224,8 +235,25 @@ mod tests {
             distinct_keys: 1200,
             physical_per_logical: 1,
             profile: SearchProfile::OnePerKey,
+            index_prebuilt: false,
         };
         assert_eq!(m.resolve(&deep), SearchMode::Indexed);
+    }
+
+    #[test]
+    fn a_prebuilt_index_drops_the_build_cost() {
+        // A paper-bank frontier block resolves Linear only because the
+        // build does not amortize; with the index prebuilt it resolves
+        // Indexed.
+        let m = model();
+        let built = paper_block(SearchProfile::Frontier, 1);
+        let prebuilt = BlockShape {
+            index_prebuilt: true,
+            ..built
+        };
+        assert_eq!(m.resolve(&built), SearchMode::Linear);
+        assert_eq!(m.resolve(&prebuilt), SearchMode::Indexed);
+        assert_eq!(m.linear_ns(&built), m.linear_ns(&prebuilt));
     }
 
     #[test]

@@ -391,9 +391,9 @@ impl CamCrossbar {
             e.valid = false;
         }
         // Bulk clears only bump the epoch: every index turns stale at once
-        // and rebuilds lazily on its next indexed search. Memoized
-        // steady-state iterations never physically search a reloaded block
-        // again, so they pay no index maintenance here at all.
+        // and rebuilds lazily on its next indexed search. Blocks whose
+        // searches replay from an engine-side plan never search the CAM,
+        // so they pay no index maintenance here at all.
         self.epoch = self.epoch.wrapping_add(1);
         self.clean_indexes = 0;
     }
@@ -527,13 +527,28 @@ impl CamCrossbar {
 
     /// Counts one CAM search without recomputing a hit vector.
     ///
-    /// The engine's per-block search memo replays a previously derived hit
-    /// vector when the loaded block is untouched — but the simulated
-    /// hardware still performs the physical search every time, so the
-    /// device counter (and therefore energy accounting) must advance
-    /// exactly as for [`search`](Self::search).
+    /// The engine replays a planned block's hit vectors from the block's
+    /// prebuilt index — but the simulated hardware still performs the
+    /// physical search every time, so the device counter (and therefore
+    /// energy accounting) must advance exactly as for
+    /// [`search`](Self::search).
     pub fn count_replayed_search(&mut self) {
         self.stats.cam_searches += 1;
+    }
+
+    /// The hit vector a linear scan for `(key, mask)` yields, written into
+    /// `out` (resized to the row count). A peripheral check, not a device
+    /// operation: nothing is counted and no fault upset is drawn. The
+    /// engine cross-checks replayed hit vectors against it in debug
+    /// builds.
+    pub fn scan_into(&self, key: u128, mask: u128, out: &mut HitVector) {
+        out.reset(self.geometry.rows);
+        Self::linear_scan_into(
+            &self.entries,
+            key & self.width_mask,
+            mask & self.width_mask,
+            out,
+        );
     }
 
     /// Reads back the entry at `row` (peripheral read, not a search).

@@ -157,7 +157,7 @@ impl HitVector {
     }
 
     /// Makes this vector a copy of `other`, reusing the word buffer when
-    /// the lengths already agree (the memoized-search replay path).
+    /// the lengths already agree.
     pub fn copy_from(&mut self, other: &HitVector) {
         self.len = other.len;
         self.words.clear();

@@ -1,10 +1,9 @@
 //! Offline stand-in for the subset of `crossbeam` this workspace uses.
 //!
 //! The build is fully offline, so the real `crossbeam` cannot be fetched.
-//! The workspace currently only declares the dependency (parallel sections
-//! use `std::thread::scope` directly), so this shim just re-exports the
-//! std scoped-thread API under crossbeam's names to keep the dependency
-//! resolvable and leave room for future call sites.
+//! The one call site is `gaasx_core::ShardedEngine`, whose shard workers
+//! run under `crossbeam::thread::scope`; this shim maps that name (and
+//! `crossbeam::scope`) onto std's scoped-thread API.
 
 #![warn(missing_docs)]
 
