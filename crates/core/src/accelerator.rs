@@ -99,18 +99,17 @@ impl GaasX {
         let mut engine = Engine::new(self.config.clone())?;
         engine.set_tracer(self.tracer.clone());
         engine.set_search_profile(algorithm.search_profile());
-        let run = match algorithm.execute(&mut engine, input) {
-            Ok(run) => run,
-            Err(e) => {
-                return Err(Self::attach_partial_report(
-                    e,
-                    &mut engine,
+        let run = algorithm.execute(&mut engine, input).map_err(|e| {
+            e.with_partial_report(|| {
+                engine.finish(
+                    "gaasx",
                     algorithm.name(),
                     workload,
+                    0,
                     A::input_edges(input),
-                ))
-            }
-        };
+                )
+            })
+        })?;
         let report = engine.finish(
             "gaasx",
             algorithm.name(),
@@ -122,43 +121,6 @@ impl GaasX {
             result: run.output,
             report,
         })
-    }
-
-    /// Graceful degradation: an unrecoverable [`CoreError::DeviceFault`]
-    /// or deadline [`CoreError::Cancelled`] aborts the algorithm, but the
-    /// work done up to the abort still cost time and energy — attach the
-    /// partial report so callers can account for (and bill) it. Other
-    /// errors pass through untouched.
-    fn attach_partial_report(
-        e: CoreError,
-        engine: &mut Engine,
-        algorithm: &str,
-        workload: &str,
-        num_edges: u64,
-    ) -> CoreError {
-        match e {
-            CoreError::DeviceFault {
-                detail,
-                report: None,
-            } => {
-                let partial = engine.finish("gaasx", algorithm, workload, 0, num_edges);
-                CoreError::DeviceFault {
-                    detail,
-                    report: Some(Box::new(partial)),
-                }
-            }
-            CoreError::Cancelled {
-                detail,
-                report: None,
-            } => {
-                let partial = engine.finish("gaasx", algorithm, workload, 0, num_edges);
-                CoreError::Cancelled {
-                    detail,
-                    report: Some(Box::new(partial)),
-                }
-            }
-            other => other,
-        }
     }
 
     /// Runs a shardable algorithm with its shard stream fanned out over
@@ -194,42 +156,17 @@ impl GaasX {
         let mut sharded = ShardedEngine::new(self.config.clone(), jobs)?;
         sharded.set_tracer(self.tracer.clone());
         sharded.set_search_profile(algorithm.search_profile());
-        let run = match algorithm.execute_on(&mut sharded, input) {
-            Ok(run) => run,
-            Err(CoreError::DeviceFault {
-                detail,
-                report: None,
-            }) => {
-                let partial = sharded.finish(
+        let run = algorithm.execute_on(&mut sharded, input).map_err(|e| {
+            e.with_partial_report(|| {
+                sharded.finish(
                     "gaasx",
                     algorithm.name(),
                     workload,
                     0,
                     A::input_edges(input),
-                );
-                return Err(CoreError::DeviceFault {
-                    detail,
-                    report: Some(Box::new(partial)),
-                });
-            }
-            Err(CoreError::Cancelled {
-                detail,
-                report: None,
-            }) => {
-                let partial = sharded.finish(
-                    "gaasx",
-                    algorithm.name(),
-                    workload,
-                    0,
-                    A::input_edges(input),
-                );
-                return Err(CoreError::Cancelled {
-                    detail,
-                    report: Some(Box::new(partial)),
-                });
-            }
-            Err(e) => return Err(e),
-        };
+                )
+            })
+        })?;
         let report = sharded.finish(
             "gaasx",
             algorithm.name(),

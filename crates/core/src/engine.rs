@@ -18,7 +18,8 @@
 //!
 //! Functionally a single working CAM+MAC pair executes every block (results
 //! are bit-identical to running on 2048 banks). Timing models the real
-//! parallelism under the configured [`SchedulePolicy`]: the default *wave*
+//! parallelism under the configured
+//! [`SchedulePolicy`](gaasx_sim::des::SchedulePolicy): the default *wave*
 //! scheduler fills the `num_banks` banks with consecutive blocks — within a
 //! wave, streaming from the storage arrays is serial at
 //! `stream_bandwidth_gbps` while row programming and compute run
@@ -26,17 +27,20 @@
 //! double-buffered pipeline model ([`gaasx_sim::pipeline`]) — while the
 //! *event-driven* alternative dispatches each block to the
 //! earliest-available bank with no barriers ([`gaasx_sim::des`]).
+//!
+//! The engine owns the device state and the op API; every modeled cost
+//! goes to its cost ledger, and [`Engine::finish`] assembles the report
+//! from the device stats plus the ledger. The makespan, the per-bank
+//! dispatch events and the occupancy timeline all come from the ledger's
+//! one schedule walk.
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
 use gaasx_graph::{CooGraph, Edge, GraphError, VertexId};
-use gaasx_sim::des::{BankScheduler, SchedulePolicy};
-use gaasx_sim::pipeline::{pipelined_makespan, serial_makespan, PhasePipe, PipelineClock};
-use gaasx_sim::timeline::{COMPUTE_LANE, LOAD_LANE, SEARCH_LANE};
 use gaasx_sim::{
-    attribute_makespan, EnergyBreakdown, FaultReport, Histogram, Nanos, OpSummary, Phase,
-    RunReport, SramBuffer, Timeline, Tracer, UtilizationReport, CONTROLLER_BANK,
+    EnergyBreakdown, FaultReport, Nanos, OpSummary, Phase, RunReport, SramBuffer, Tracer,
+    UtilizationReport,
 };
 use gaasx_xbar::fault::{CamFaultState, MacFaultState};
 use gaasx_xbar::{
@@ -46,6 +50,7 @@ use gaasx_xbar::{
 
 use crate::config::GaasXConfig;
 use crate::error::CoreError;
+use crate::ledger::Ledger;
 use crate::plan::{plan_field, BlockTable, KeyField};
 use crate::sfu::Sfu;
 
@@ -166,50 +171,6 @@ impl<'a> Block<'a> {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-pub(crate) struct BlockCost {
-    stream_bytes: u64,
-    program_ns: Nanos,
-    compute_ns: Nanos,
-    /// Partition of `compute_ns` by [`Phase`] (indexed by `Phase::index`).
-    /// Scheduling consumes the total; phase attribution the split.
-    compute_phase_ns: [Nanos; 7],
-    /// Per-operation `(phase, ns)` ledger in issue order, kept only when
-    /// the attached tracer observes timeline intervals. Timeline
-    /// construction replays it to lay each compute op on its bank's
-    /// occupancy track; summing the entries per phase reproduces
-    /// `compute_phase_ns` bit-exactly (same accumulation order).
-    ops: Vec<(Phase, Nanos)>,
-    /// Intra-block search/MAC overlap clock, fed one op at a time as the
-    /// ledger accrues. Its makespan is the block's *pipelined* compute
-    /// time, which scheduling consumes; `compute_ns` stays the serial sum
-    /// so phase attribution and busy conservation are untouched by the
-    /// overlap model.
-    pipe: PhasePipe,
-}
-
-impl BlockCost {
-    fn add_phase(&mut self, phase: Phase, ns: Nanos, record_op: bool) {
-        self.compute_ns += ns;
-        self.compute_phase_ns[phase.index()] += ns;
-        if phase == Phase::CamSearch {
-            self.pipe.search(ns.ns());
-        } else {
-            self.pipe.compute(ns.ns());
-        }
-        if record_op {
-            self.ops.push((phase, ns));
-        }
-    }
-
-    /// The block's compute time under the search/MAC overlap pipeline.
-    /// For blocks without CAM searches this equals `compute_ns` bit-for-
-    /// bit (the pipe accumulates the same f64 sum in the same order).
-    fn pipelined_compute_ns(&self) -> Nanos {
-        Nanos::from_ns(self.pipe.makespan())
-    }
-}
-
 /// Per-device endurance wear captured from an engine's crossbar banks.
 ///
 /// A serving layer snapshots wear before tearing an engine down (e.g. to
@@ -250,22 +211,17 @@ pub struct Engine {
     input_buf: SramBuffer,
     output_buf: SramBuffer,
     attr_buf: SramBuffer,
-    rows_per_mac: Histogram,
-    costs: Vec<BlockCost>,
-    current: BlockCost,
-    in_block: bool,
-    extra_ns: Nanos,
-    extra_phase_ns: [Nanos; 7],
-    phase_counts: [u64; 7],
-    compute_items: u64,
-    extra_aux_row_writes: u64,
-    extra_aux_cells: u64,
+    /// Every modeled cost of the run; timing and phase attribution are
+    /// functions of it alone.
+    pub(crate) ledger: Ledger,
     tracer: Tracer,
     /// Whether block costs keep their per-operation ledger (derived from
     /// [`Tracer::observes_intervals`] at `set_tracer` time; sharded
     /// worker engines have it forced on by the primary).
     record_ops: bool,
-    /// Functional (serial) time cursor for span placement.
+    /// Functional (serial) time cursor for span placement and the
+    /// deadline. Per engine and never merged: a sharded run's deadline
+    /// reads each engine's own cursor.
     cursor_ns: Nanos,
     /// Per-query modeled-time budget; checked cooperatively at block
     /// boundaries (see [`Engine::set_deadline`]).
@@ -376,16 +332,7 @@ impl Engine {
             input_buf: SramBuffer::input_16kb(),
             output_buf: SramBuffer::output_64kb(),
             attr_buf: SramBuffer::attribute_512kb(),
-            rows_per_mac: Histogram::new(config.mac_geometry.max_active_rows),
-            costs: Vec::new(),
-            current: BlockCost::default(),
-            in_block: false,
-            extra_ns: Nanos::ZERO,
-            extra_phase_ns: [Nanos::ZERO; 7],
-            phase_counts: [0; 7],
-            compute_items: 0,
-            extra_aux_row_writes: 0,
-            extra_aux_cells: 0,
+            ledger: Ledger::new(config.mac_geometry.max_active_rows),
             tracer: Tracer::null(),
             record_ops: false,
             cursor_ns: Nanos::ZERO,
@@ -424,7 +371,8 @@ impl Engine {
     /// Declares how the running algorithm queries its blocks — the
     /// [`SearchCostModel`]'s workload input. Only consulted when the
     /// config's search mode is [`SearchMode::Auto`]; takes effect at the
-    /// next [`load_block`](Engine::load_block).
+    /// next block load ([`load_block`](Engine::load_block) or
+    /// [`load_planned`](Engine::load_planned)).
     pub fn set_search_profile(&mut self, profile: SearchProfile) {
         self.search_profile = profile;
     }
@@ -514,7 +462,7 @@ impl Engine {
     /// Counts one operation in `phase`, advances the functional-time
     /// cursor, and emits a leaf span when tracing is on.
     fn trace_op(&mut self, phase: Phase, dur_ns: Nanos) {
-        self.phase_counts[phase.index()] = self.phase_counts[phase.index()].saturating_add(1);
+        self.ledger.count_op(phase);
         let start = self.cursor_ns;
         self.cursor_ns += dur_ns;
         // The span/telemetry boundary is untyped; `.ns()` marks the exit
@@ -597,8 +545,7 @@ impl Engine {
                 self.remap_slot(slot)?;
             }
         }
-        self.add_compute(Phase::LoadBlock, verify_ns);
-        self.trace_op(Phase::LoadBlock, verify_ns);
+        self.bill_op(Phase::LoadBlock, verify_ns);
         Ok(())
     }
 
@@ -769,8 +716,7 @@ impl Engine {
                 self.block_capacity()
             )));
         }
-        self.end_block();
-        self.in_block = true;
+        self.ledger.open_block();
         self.cam.invalidate_all();
 
         let indexed = block
@@ -835,12 +781,10 @@ impl Engine {
 
         let bytes = edges.len() as u64 * self.config.edge_record_bytes;
         self.input_buf.write(bytes);
-        self.current.stream_bytes = bytes;
-        self.current.program_ns = program_ns;
+        self.ledger.set_load(bytes, program_ns);
 
         let load_ns = self.config.stream_ns(bytes) + program_ns;
-        self.phase_counts[Phase::LoadBlock.index()] =
-            self.phase_counts[Phase::LoadBlock.index()].saturating_add(1);
+        self.ledger.count_op(Phase::LoadBlock);
         let start = self.cursor_ns;
         self.cursor_ns += load_ns;
         if self.tracer.enabled() {
@@ -894,9 +838,7 @@ impl Engine {
             KeyField::Dst => (u128::from(v.raw()), 0xFFFF_FFFF),
         };
         let ns = self.config.energy.cam_search_ns;
-        self.current
-            .add_phase(Phase::CamSearch, ns, self.record_ops);
-        self.trace_op(Phase::CamSearch, ns);
+        self.bill_block_op(Phase::CamSearch, ns);
         if let (Some(block), Some(table)) = (self.replay, self.plan_table.as_ref()) {
             // Outside the fence: gaasx-lint resolves calls by name, and
             // this `reset` would alias the crate's unrelated `Sfu::reset`.
@@ -920,13 +862,9 @@ impl Engine {
             // Two extra searches; a per-row majority vote masks any single
             // transient upset. Each re-search is charged like the first.
             // (A fault path — never replayed, allocation here is fine.)
-            self.current
-                .add_phase(Phase::CamSearch, ns, self.record_ops);
-            self.trace_op(Phase::CamSearch, ns);
+            self.bill_block_op(Phase::CamSearch, ns);
             let second = self.cam.search(key, mask);
-            self.current
-                .add_phase(Phase::CamSearch, ns, self.record_ops);
-            self.trace_op(Phase::CamSearch, ns);
+            self.bill_block_op(Phase::CamSearch, ns);
             let third = self.cam.search(key, mask);
             let voted = out
                 .and(&second)
@@ -1014,12 +952,8 @@ impl Engine {
                     out_col,
                 )?
             };
-            self.rows_per_mac.record(chunk_len);
-            let ns = self.config.energy.mac_op_ns;
-            self.current
-                .add_phase(Phase::MacGather, ns, self.record_ops);
-            self.trace_op(Phase::MacGather, ns);
-            self.compute_items = self.compute_items.saturating_add(chunk_len as u64);
+            self.ledger.mac_burst(chunk_len);
+            self.bill_block_op(Phase::MacGather, self.config.energy.mac_op_ns);
             if first {
                 total = v;
                 first = false;
@@ -1104,12 +1038,8 @@ impl Engine {
                 &self.lines_buf,
                 &mut self.mac_out,
             )?;
-            self.rows_per_mac.record(chunk_len);
-            let ns = self.config.energy.mac_op_ns;
-            self.current
-                .add_phase(Phase::MacPropagate, ns, self.record_ops);
-            self.trace_op(Phase::MacPropagate, ns);
-            self.compute_items = self.compute_items.saturating_add(chunk_len as u64);
+            self.ledger.mac_burst(chunk_len);
+            self.bill_block_op(Phase::MacPropagate, self.config.energy.mac_op_ns);
             for (i, &row) in self.chunk_buf.iter().enumerate() {
                 results.push((row, self.mac_out[i]));
             }
@@ -1128,12 +1058,7 @@ impl Engine {
     pub fn write_aux_row(&mut self, row: usize, codes: &[u32]) -> Result<(), CoreError> {
         self.aux_mac.write_row(row, codes)?;
         let cost = self.config.energy.row_program_ns(codes.len());
-        if self.in_block {
-            self.current.program_ns += cost;
-        } else {
-            self.extra_ns += cost;
-            self.extra_phase_ns[Phase::LoadBlock.index()] += cost;
-        }
+        self.ledger.charge_program(cost);
         self.trace_op(Phase::LoadBlock, cost);
         Ok(())
     }
@@ -1160,15 +1085,12 @@ impl Engine {
     /// (paper §IV: "The feature vectors of users and items corresponding to
     /// the range of vertex IDs are loaded into different MAC crossbars").
     pub fn load_aux_rows_parallel(&mut self, rows: usize, values_per_row: usize) {
-        self.extra_aux_row_writes = self.extra_aux_row_writes.saturating_add(rows as u64);
-        self.extra_aux_cells = self
-            .extra_aux_cells
-            .saturating_add((rows * values_per_row * self.config.mac_geometry.slices) as u64);
+        let cells = rows * values_per_row * self.config.mac_geometry.slices;
+        self.ledger.aux_writes(rows as u64, cells as u64);
         let ns = rows as f64 * self.config.energy.row_program_ns(values_per_row)
             / self.config.num_banks.max(1) as f64;
-        self.add_compute(Phase::LoadBlock, ns);
-        self.phase_counts[Phase::LoadBlock.index()] =
-            self.phase_counts[Phase::LoadBlock.index()].saturating_add(1);
+        self.ledger.charge(Phase::LoadBlock, ns, self.record_ops);
+        self.ledger.count_op(Phase::LoadBlock);
         let start = self.cursor_ns;
         self.cursor_ns += ns;
         if self.tracer.enabled() {
@@ -1193,11 +1115,8 @@ impl Engine {
         let out = self
             .aux_mac
             .mac(MacDirection::RowsToColumns, active_rows, inputs)?;
-        self.rows_per_mac.record(active_rows.len().max(1));
-        let ns = self.config.energy.mac_op_ns;
-        self.add_compute(Phase::MacGather, ns);
-        self.trace_op(Phase::MacGather, ns);
-        self.compute_items = self.compute_items.saturating_add(active_rows.len() as u64);
+        self.ledger.mac_burst(active_rows.len());
+        self.bill_op(Phase::MacGather, self.config.energy.mac_op_ns);
         Ok(out)
     }
 
@@ -1214,27 +1133,26 @@ impl Engine {
         let out = self
             .aux_mac
             .mac(MacDirection::ColumnsToRows, active_cols, inputs)?;
-        self.rows_per_mac.record(active_cols.len().max(1));
-        let ns = self.config.energy.mac_op_ns;
-        self.add_compute(Phase::MacPropagate, ns);
-        self.trace_op(Phase::MacPropagate, ns);
-        self.compute_items = self.compute_items.saturating_add(active_cols.len() as u64);
+        self.ledger.mac_burst(active_cols.len());
+        self.bill_op(Phase::MacPropagate, self.config.energy.mac_op_ns);
         Ok(out)
     }
 
-    fn add_compute(&mut self, phase: Phase, ns: Nanos) {
-        if self.in_block {
-            self.current.add_phase(phase, ns, self.record_ops);
-        } else {
-            self.extra_ns += ns;
-            self.extra_phase_ns[phase.index()] += ns;
-        }
+    /// Bills one operation to the open block and traces it.
+    fn bill_block_op(&mut self, phase: Phase, ns: Nanos) {
+        self.ledger.charge_block(phase, ns, self.record_ops);
+        self.trace_op(phase, ns);
+    }
+
+    /// Bills one operation to the open block, or to the controller extras
+    /// outside a block, and traces it.
+    fn bill_op(&mut self, phase: Phase, ns: Nanos) {
+        self.ledger.charge(phase, ns, self.record_ops);
+        self.trace_op(phase, ns);
     }
 
     fn sfu_cost(&mut self) {
-        let ns = self.config.energy.sfu_op_ns / SFU_LANES;
-        self.add_compute(Phase::Sfu, ns);
-        self.trace_op(Phase::Sfu, ns);
+        self.bill_op(Phase::Sfu, self.config.energy.sfu_op_ns / SFU_LANES);
     }
 
     /// SFU scalar add.
@@ -1281,40 +1199,16 @@ impl Engine {
         self.output_buf.write(bytes);
     }
 
-    /// Closes the current block, committing its costs to the wave schedule.
+    /// Closes the current block, committing its costs to the schedule.
     pub fn end_block(&mut self) {
-        if self.in_block {
-            self.costs.push(std::mem::take(&mut self.current));
-            self.in_block = false;
-        }
-    }
-
-    /// Drains every committed block cost (closing any open block first).
-    /// The sharded layer calls this on worker engines after each shard so
-    /// the costs can be re-appended to the primary engine in canonical
-    /// shard-stream order — which is what makes the merged wave schedule
-    /// bit-identical to a serial run.
-    pub(crate) fn take_costs(&mut self) -> Vec<BlockCost> {
-        self.end_block();
-        std::mem::take(&mut self.costs)
-    }
-
-    /// Appends block costs drained from a worker engine, preserving order.
-    pub(crate) fn append_costs(&mut self, costs: impl IntoIterator<Item = BlockCost>) {
-        debug_assert!(!self.in_block, "close the primary's open block first");
-        self.costs.extend(costs);
+        self.ledger.end_block();
     }
 
     /// Absorbs the functional activity of a sibling worker engine: device
-    /// stats, SFU counters, buffer traffic, the rows-per-MAC histogram,
-    /// phase tallies, and out-of-block extras. Block costs travel
-    /// separately — in canonical stream order — via
-    /// [`Engine::take_costs`] / [`Engine::append_costs`].
+    /// stats, fault recovery, SFU counters, buffer traffic, and the
+    /// worker ledger's counters and controller extras. Block costs travel
+    /// separately, in canonical stream order, as ledger segments.
     pub(crate) fn absorb_functional(&mut self, worker: &Engine) {
-        debug_assert!(
-            !worker.in_block && worker.costs.is_empty(),
-            "drain worker costs before absorbing"
-        );
         self.cam.merge_stats(worker.cam.stats());
         self.mac.merge_stats(worker.mac.stats());
         self.aux_mac.merge_stats(worker.aux_mac.stats());
@@ -1325,40 +1219,26 @@ impl Engine {
         self.input_buf.merge(&worker.input_buf);
         self.output_buf.merge(&worker.output_buf);
         self.attr_buf.merge(&worker.attr_buf);
-        self.rows_per_mac.merge(&worker.rows_per_mac);
-        for (acc, v) in self.phase_counts.iter_mut().zip(worker.phase_counts.iter()) {
-            *acc = acc.saturating_add(*v);
-        }
-        self.compute_items = self.compute_items.saturating_add(worker.compute_items);
-        self.extra_aux_row_writes = self
-            .extra_aux_row_writes
-            .saturating_add(worker.extra_aux_row_writes);
-        self.extra_aux_cells = self.extra_aux_cells.saturating_add(worker.extra_aux_cells);
-        self.extra_ns += worker.extra_ns;
-        for (acc, v) in self
-            .extra_phase_ns
-            .iter_mut()
-            .zip(worker.extra_phase_ns.iter())
-        {
-            *acc += *v;
-        }
+        self.ledger.merge(&worker.ledger);
     }
 
     /// Total useful edge computations performed so far.
     pub fn compute_items(&self) -> u64 {
-        self.compute_items
+        self.ledger.compute_items()
     }
 
     /// Sets (or clears) the per-query modeled-time budget, in functional
     /// serial nanoseconds of work performed by *this* engine.
     ///
-    /// The budget is checked cooperatively at every
-    /// [`load_block`](Engine::load_block) — the natural quantum of GaaS-X
-    /// work — so a query that exceeds it fails at the next block boundary
-    /// with [`CoreError::Cancelled`] rather than mid-block. The check
-    /// reads the monotone functional cursor, which survives the sharded
-    /// layer's per-shard cost draining; [`reset_accounting`] rewinds the
-    /// cursor so each query on a resident engine gets a fresh budget.
+    /// The budget is checked cooperatively at every block load
+    /// ([`load_block`](Engine::load_block) or
+    /// [`load_planned`](Engine::load_planned)) — the natural quantum of
+    /// GaaS-X work — so a query that exceeds it fails at the next block
+    /// boundary with [`CoreError::Cancelled`] rather than mid-block. The
+    /// check reads the engine's monotone functional cursor, which lives
+    /// outside the ledger and so survives the sharded layer's per-shard
+    /// segment draining; [`reset_accounting`] rewinds the cursor so each
+    /// query on a resident engine gets a fresh budget.
     ///
     /// [`reset_accounting`]: Engine::reset_accounting
     pub fn set_deadline(&mut self, deadline: Option<Nanos>) {
@@ -1391,21 +1271,13 @@ impl Engine {
     /// can serve its next query with a clean report, while leaving device
     /// state in place: programmed CAM/MAC contents, endurance wear maps,
     /// transient fault RNG streams, and spare-row remappings all survive.
-    /// The deadline is cleared (it is per-query).
+    /// The ledger is dropped for a fresh one, the device stats are
+    /// zeroed, and the deadline is cleared (it is per-query).
     pub fn reset_accounting(&mut self) {
-        self.costs.clear();
-        self.current = BlockCost::default();
-        self.in_block = false;
-        self.extra_ns = Nanos::ZERO;
-        self.extra_phase_ns = [Nanos::ZERO; 7];
-        self.phase_counts = [0; 7];
-        self.compute_items = 0;
-        self.extra_aux_row_writes = 0;
-        self.extra_aux_cells = 0;
+        self.ledger = Ledger::new(self.config.mac_geometry.max_active_rows);
         self.cursor_ns = Nanos::ZERO;
         self.deadline_ns = None;
         self.faults = FaultReport::default();
-        self.rows_per_mac = Histogram::new(self.config.mac_geometry.max_active_rows);
         self.sfu.reset();
         self.input_buf.reset();
         self.output_buf.reset();
@@ -1433,236 +1305,6 @@ impl Engine {
         self.mac.restore_fault_wear(&snapshot.mac_cells);
     }
 
-    /// Per-phase busy totals (functional serial time per phase) over all
-    /// committed blocks plus the out-of-block extras. `LoadBlock` busy is
-    /// each block's stream time plus its row-programming time.
-    fn phase_busy_ns(&self) -> [Nanos; 7] {
-        let mut busy = self.extra_phase_ns;
-        for b in &self.costs {
-            busy[Phase::LoadBlock.index()] += self.config.stream_ns(b.stream_bytes) + b.program_ns;
-            for (acc, ns) in busy.iter_mut().zip(b.compute_phase_ns.iter()) {
-                *acc += *ns;
-            }
-        }
-        busy
-    }
-
-    /// Replays the block schedule, emitting one [`Phase::Dispatch`] span
-    /// per block with its bank assignment on the *scheduled* time axis
-    /// (unlike operation spans, which live on the serial functional axis).
-    fn emit_dispatch_events(&self) {
-        if !self.tracer.enabled() {
-            return;
-        }
-        let banks = self.config.num_banks.max(1);
-        match self.config.scheduler {
-            SchedulePolicy::Waves => {
-                let mut clock = PipelineClock::new();
-                for (w, wave) in self.costs.chunks(banks).enumerate() {
-                    let stream_ns: Nanos = wave
-                        .iter()
-                        .map(|b| self.config.stream_ns(b.stream_bytes))
-                        .sum();
-                    let program_ns = wave
-                        .iter()
-                        .map(|b| b.program_ns)
-                        .fold(Nanos::ZERO, Nanos::max);
-                    let compute_ns = wave
-                        .iter()
-                        .map(|b| b.pipelined_compute_ns())
-                        .fold(Nanos::ZERO, Nanos::max);
-                    let done = clock.advance(stream_ns.max(program_ns).ns(), compute_ns.ns());
-                    // Within a wave, bank = position; the span covers the
-                    // bank's occupancy (program + compute) aligned to the
-                    // wave's compute window.
-                    let compute_start = done - compute_ns.ns();
-                    for (i, b) in wave.iter().enumerate() {
-                        self.tracer
-                            .span(
-                                Phase::Dispatch,
-                                (compute_start - b.program_ns.ns()).max(0.0),
-                            )
-                            .bank(i as u32)
-                            .attr("block", w * banks + i)
-                            .attr("wave", w)
-                            .end(compute_start + b.pipelined_compute_ns().ns());
-                    }
-                }
-            }
-            SchedulePolicy::EventDriven => {
-                let mut sched = BankScheduler::new(banks);
-                for (idx, b) in self.costs.iter().enumerate() {
-                    let d = sched.dispatch(
-                        self.config.stream_ns(b.stream_bytes),
-                        b.program_ns,
-                        b.pipelined_compute_ns(),
-                    );
-                    self.tracer
-                        .span(Phase::Dispatch, d.start_ns.ns())
-                        .bank(d.bank)
-                        .attr("block", idx)
-                        .end(d.done_ns.ns());
-                }
-            }
-        }
-    }
-
-    /// Lays one block's occupancy on its bank's tracks: a single load
-    /// interval (stream + row programming, the same one-term sum the
-    /// accounting fold uses) ending where compute starts, then the
-    /// per-operation compute ledger replayed through a fresh [`PhasePipe`]
-    /// — CAM searches land on [`SEARCH_LANE`] and everything else on
-    /// [`COMPUTE_LANE`], each at the start the pipeline clock assigned, so
-    /// the timeline shows the same overlap the makespan was billed for.
-    /// Intervals are emitted in op order (the conservation fold consumes
-    /// emission order, not placement), and each lane's starts are
-    /// monotone (the pipe's unit clocks only move forward), so
-    /// [`Timeline::push`]'s cursor clamp never shifts anything.
-    fn push_block_intervals(
-        &self,
-        tl: &mut Timeline,
-        bank: u32,
-        b: &BlockCost,
-        compute_start: Nanos,
-        block: u32,
-    ) {
-        let load_ns = self.config.stream_ns(b.stream_bytes) + b.program_ns;
-        tl.push(
-            bank,
-            LOAD_LANE,
-            Phase::LoadBlock,
-            compute_start - load_ns,
-            load_ns,
-            Some(block),
-        );
-        let mut pipe = PhasePipe::new();
-        for &(phase, ns) in &b.ops {
-            let (lane, start) = if phase == Phase::CamSearch {
-                (SEARCH_LANE, pipe.search(ns.ns()))
-            } else {
-                (COMPUTE_LANE, pipe.compute(ns.ns()))
-            };
-            tl.push(
-                bank,
-                lane,
-                phase,
-                compute_start + Nanos::from_ns(start),
-                ns,
-                Some(block),
-            );
-        }
-    }
-
-    /// Replays the committed block schedule into a bank-occupancy
-    /// [`Timeline`]: controller extras first (one interval per phase on
-    /// the synthetic controller track), then every block's load and
-    /// compute intervals placed by the same scheduler math that produced
-    /// the makespan. Folding the result per phase reproduces
-    /// [`Engine::phase_busy_ns`] bit-exactly.
-    fn build_timeline(&self, makespan: Nanos) -> Timeline {
-        let mut tl = Timeline::new(makespan);
-        for phase in Phase::ALL {
-            tl.push(
-                CONTROLLER_BANK,
-                LOAD_LANE,
-                phase,
-                Nanos::ZERO,
-                self.extra_phase_ns[phase.index()],
-                None,
-            );
-        }
-        let banks = self.config.num_banks.max(1);
-        match self.config.scheduler {
-            SchedulePolicy::Waves => {
-                let mut clock = PipelineClock::new();
-                for (w, wave) in self.costs.chunks(banks).enumerate() {
-                    let stream_ns: Nanos = wave
-                        .iter()
-                        .map(|b| self.config.stream_ns(b.stream_bytes))
-                        .sum();
-                    let program_ns = wave
-                        .iter()
-                        .map(|b| b.program_ns)
-                        .fold(Nanos::ZERO, Nanos::max);
-                    let compute_ns = wave
-                        .iter()
-                        .map(|b| b.pipelined_compute_ns())
-                        .fold(Nanos::ZERO, Nanos::max);
-                    let done = clock.advance(stream_ns.max(program_ns).ns(), compute_ns.ns());
-                    let compute_start = Nanos::from_ns(done) - compute_ns;
-                    for (i, b) in wave.iter().enumerate() {
-                        self.push_block_intervals(
-                            &mut tl,
-                            i as u32,
-                            b,
-                            compute_start,
-                            (w * banks + i) as u32,
-                        );
-                    }
-                }
-            }
-            SchedulePolicy::EventDriven => {
-                let mut sched = BankScheduler::new(banks);
-                for (idx, b) in self.costs.iter().enumerate() {
-                    let d = sched.dispatch(
-                        self.config.stream_ns(b.stream_bytes),
-                        b.program_ns,
-                        b.pipelined_compute_ns(),
-                    );
-                    let compute_start = d.done_ns - b.pipelined_compute_ns();
-                    self.push_block_intervals(&mut tl, d.bank, b, compute_start, idx as u32);
-                }
-            }
-        }
-        tl
-    }
-
-    /// How much of the fully serial wave makespan the pipelines hide:
-    /// `(serial − pipelined) / serial`, 0 when there is nothing to
-    /// overlap. The serial side sums unpipelined loads and *serial*
-    /// per-block compute; the pipelined side double-buffers loads against
-    /// the blocks' search/MAC-overlapped compute times, so the ratio
-    /// captures both overlap mechanisms (and is positive even for a
-    /// single-wave run whose blocks overlapped searches with MACs).
-    /// Always evaluated on the wave model's stage times, regardless of
-    /// the configured scheduler, so the ratio is comparable across
-    /// scheduler policies.
-    fn wave_overlap_ratio(&self) -> f64 {
-        let banks = self.config.num_banks.max(1);
-        let waves = self.costs.chunks(banks);
-        let mut loads = Vec::with_capacity(waves.len());
-        let mut serial_computes = Vec::with_capacity(waves.len());
-        let mut piped_computes = Vec::with_capacity(waves.len());
-        for wave in waves {
-            let stream_ns: Nanos = wave
-                .iter()
-                .map(|b| self.config.stream_ns(b.stream_bytes))
-                .sum();
-            let program_ns = wave
-                .iter()
-                .map(|b| b.program_ns)
-                .fold(Nanos::ZERO, Nanos::max);
-            loads.push(stream_ns.max(program_ns).ns());
-            serial_computes.push(
-                wave.iter()
-                    .map(|b| b.compute_ns)
-                    .fold(Nanos::ZERO, Nanos::max)
-                    .ns(),
-            );
-            piped_computes.push(
-                wave.iter()
-                    .map(|b| b.pipelined_compute_ns())
-                    .fold(Nanos::ZERO, Nanos::max)
-                    .ns(),
-            );
-        }
-        let serial = serial_makespan(&loads, &serial_computes);
-        if serial <= 0.0 {
-            return 0.0;
-        }
-        (serial - pipelined_makespan(&loads, &piped_computes)) / serial
-    }
-
     /// Assembles the final report: wave-scheduled makespan, energy
     /// breakdown, op summary, the rows-per-MAC histogram, and the
     /// per-phase makespan attribution.
@@ -1674,12 +1316,12 @@ impl Engine {
         iterations: u32,
         num_edges: u64,
     ) -> RunReport {
-        self.end_block();
+        self.ledger.end_block();
         let makespan = self.makespan_ns();
         let cam_cells = self.cam.stats().cells_written;
         let mac_cells = self.mac.stats().cells_written
             + self.aux_mac.stats().cells_written
-            + self.extra_aux_cells;
+            + self.ledger.aux_cells();
         let mut stats = XbarStats::new();
         stats.merge(self.cam.stats());
         stats.merge(self.mac.stats());
@@ -1704,24 +1346,17 @@ impl Engine {
         let ops = OpSummary {
             mac_ops: stats.mac_ops,
             cam_searches: stats.cam_searches,
-            cells_written: stats.cells_written + self.extra_aux_cells,
-            row_writes: stats.row_writes + self.extra_aux_row_writes,
+            cells_written: stats.cells_written + self.ledger.aux_cells(),
+            row_writes: stats.row_writes + self.ledger.aux_row_writes(),
             verify_reads: self.faults.verify_reads,
             sfu_ops: self.sfu.total_ops(),
             buffer_accesses: self.input_buf.accesses()
                 + self.output_buf.accesses()
                 + self.attr_buf.accesses(),
-            compute_items: self.compute_items,
+            compute_items: self.ledger.compute_items(),
         };
-        // Attribute the makespan to the five pipeline phases in proportion
-        // to their busy time; the shares sum to `elapsed_ns` exactly.
-        let busy = self.phase_busy_ns();
-        let tallies: Vec<(Phase, Nanos, u64)> = Phase::ALL
-            .iter()
-            .filter(|&&p| p != Phase::Dispatch)
-            .map(|&p| (p, busy[p.index()], self.phase_counts[p.index()]))
-            .collect();
-        let phases = attribute_makespan(makespan, &tallies);
+        let busy = self.ledger.phase_busy_ns(&self.config);
+        let phases = self.ledger.attribute(makespan, &busy);
         // Every report — single-engine or sharded (the sharded runner
         // funnels through the primary's `finish`) — must conserve the
         // makespan across the phase attribution, bit-for-bit.
@@ -1731,7 +1366,9 @@ impl Engine {
             phases.iter().map(|p| p.sched_ns).sum::<Nanos>(),
         );
 
-        self.emit_dispatch_events();
+        if self.tracer.enabled() {
+            self.ledger.emit_dispatch_events(&self.config, &self.tracer);
+        }
         // Replay the schedule into a bank-occupancy timeline when some
         // sink wants it. The per-phase fold over the timeline must
         // conserve the accounting's busy attribution bit-for-bit — per
@@ -1739,7 +1376,7 @@ impl Engine {
         // compute ledger re-accumulates in issue order, so the folds are
         // term-by-term identical.
         let utilization = if self.record_ops {
-            let tl = self.build_timeline(makespan);
+            let tl = self.ledger.timeline(&self.config, makespan);
             debug_assert!(
                 tl.phase_busy_ns() == busy,
                 "timeline phase fold diverged from accounting: {:?} != {busy:?}",
@@ -1750,7 +1387,7 @@ impl Engine {
             }
             Some(UtilizationReport::from_timeline(
                 &tl,
-                self.wave_overlap_ratio(),
+                self.ledger.wave_overlap_ratio(&self.config),
             ))
         } else {
             None
@@ -1762,7 +1399,7 @@ impl Engine {
             metrics
                 .histogram("rows_per_mac")
                 .lock()
-                .merge(&self.rows_per_mac);
+                .merge(self.ledger.rows_per_mac());
         }
         if self.fault_active {
             // Recovery counters publish once here (already merged across
@@ -1790,7 +1427,7 @@ impl Engine {
         report.energy = energy;
         report.ops = ops;
         report.faults = self.faults;
-        report.rows_per_mac = self.rows_per_mac.clone();
+        report.rows_per_mac = self.ledger.rows_per_mac().clone();
         report.num_edges = num_edges;
         report.phases = phases;
         report.utilization = utilization;
@@ -1798,41 +1435,10 @@ impl Engine {
     }
 
     /// The scheduled makespan of all blocks committed so far under the
-    /// configured [`SchedulePolicy`].
+    /// configured [`SchedulePolicy`](gaasx_sim::des::SchedulePolicy),
+    /// plus the serial controller extras.
     pub fn makespan_ns(&self) -> Nanos {
-        let body = match self.config.scheduler {
-            SchedulePolicy::Waves => {
-                let mut clock = PipelineClock::new();
-                for wave in self.costs.chunks(self.config.num_banks.max(1)) {
-                    let stream_ns: Nanos = wave
-                        .iter()
-                        .map(|b| self.config.stream_ns(b.stream_bytes))
-                        .sum();
-                    let program_ns = wave
-                        .iter()
-                        .map(|b| b.program_ns)
-                        .fold(Nanos::ZERO, Nanos::max);
-                    let compute_ns = wave
-                        .iter()
-                        .map(|b| b.pipelined_compute_ns())
-                        .fold(Nanos::ZERO, Nanos::max);
-                    clock.advance(stream_ns.max(program_ns).ns(), compute_ns.ns());
-                }
-                Nanos::from_ns(clock.makespan())
-            }
-            SchedulePolicy::EventDriven => {
-                let mut sched = BankScheduler::new(self.config.num_banks.max(1));
-                for b in &self.costs {
-                    sched.dispatch(
-                        self.config.stream_ns(b.stream_bytes),
-                        b.program_ns,
-                        b.pipelined_compute_ns(),
-                    );
-                }
-                sched.makespan()
-            }
-        };
-        body + self.extra_ns
+        self.ledger.makespan_ns(&self.config)
     }
 }
 
@@ -1865,6 +1471,7 @@ pub fn partition_for_streaming(
 mod tests {
     use super::*;
     use gaasx_graph::generators;
+    use gaasx_sim::des::SchedulePolicy;
     use gaasx_sim::Nanojoules;
 
     fn engine() -> Engine {
@@ -1953,7 +1560,7 @@ mod tests {
         let results = e.propagate_rows(&hits, &[0, 1], &[1, 0]).unwrap();
         assert_eq!(results.len(), 39);
         // 39 hits at a 16-row cap = 3 MAC bursts.
-        let hist = e.rows_per_mac.counts();
+        let hist = e.ledger.rows_per_mac().counts();
         assert_eq!(hist[15], 2); // two full 16-row bursts
         assert_eq!(hist[6], 1); // one 7-row burst
     }
@@ -2246,9 +1853,9 @@ mod tests {
         let mut primary = engine();
         let mut worker = engine();
         run(&mut worker);
-        let costs = worker.take_costs();
+        let segment = worker.ledger.take_segment();
         primary.absorb_functional(&worker);
-        primary.append_costs(costs);
+        primary.ledger.append(segment);
         let got = primary.finish("t", "t", "t", 1, 8);
 
         assert_eq!(got.ops, want.ops);
@@ -2495,6 +2102,73 @@ mod tests {
             assert!(intervals
                 .iter()
                 .any(|iv| iv.bank == gaasx_sim::CONTROLLER_BANK));
+        }
+    }
+
+    #[test]
+    fn dispatch_events_agree_with_the_timeline() {
+        use gaasx_sim::obs::AttrValue;
+        use gaasx_sim::timeline::LOAD_LANE;
+        use gaasx_sim::{MemorySink, Sink, TimelineSink};
+        use std::collections::BTreeMap;
+        use std::sync::Arc;
+        for policy in [SchedulePolicy::Waves, SchedulePolicy::EventDriven] {
+            let spans = Arc::new(MemorySink::new());
+            let intervals = Arc::new(TimelineSink::new());
+            let sinks: Vec<Arc<dyn Sink>> = vec![spans.clone(), intervals.clone()];
+            let mut e = Engine::new(GaasXConfig {
+                num_banks: 4,
+                scheduler: policy,
+                ..GaasXConfig::small()
+            })
+            .unwrap();
+            e.set_tracer(Tracer::new(sinks));
+            let g =
+                generators::rmat(&generators::RmatConfig::new(1 << 7, 1200).with_seed(9)).unwrap();
+            let cells =
+                |edge: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[edge.weight as u32, 1]);
+            let mut hits = HitVector::new(0);
+            for chunk in g.edges().chunks(128) {
+                let block = e.load_block(chunk, CellLayout::PerEdge(&cells)).unwrap();
+                for &dst in block.distinct_dsts() {
+                    e.search_dst_into(dst, &mut hits);
+                    let _ = e.gather_rows(&hits, &mut |_| 1, 0).unwrap();
+                }
+            }
+            let _ = e.finish("t", "t", "t", 1, 1200);
+
+            // Each block's bank and compute end, as the timeline laid it.
+            let mut compute_ends: BTreeMap<u32, (u32, Nanos)> = BTreeMap::new();
+            for iv in intervals.take() {
+                if let (Some(block), true) = (iv.block, iv.lane != LOAD_LANE) {
+                    let slot = compute_ends.entry(block).or_insert((iv.bank, Nanos::ZERO));
+                    assert_eq!(slot.0, iv.bank, "{policy:?}: block {block} spans banks");
+                    slot.1 = slot.1.max(iv.end_ns());
+                }
+            }
+            let dispatches: Vec<_> = spans
+                .take_events()
+                .into_iter()
+                .filter(|s| s.phase == Phase::Dispatch)
+                .collect();
+            assert_eq!(dispatches.len(), compute_ends.len(), "{policy:?}");
+            for span in dispatches {
+                let block = span
+                    .attrs
+                    .iter()
+                    .find_map(|&(key, value)| match (key, value) {
+                        ("block", AttrValue::U64(id)) => Some(id as u32),
+                        _ => None,
+                    })
+                    .unwrap();
+                let (bank, end) = compute_ends[&block];
+                assert_eq!(span.bank, Some(bank), "{policy:?}: block {block}");
+                assert_eq!(
+                    span.start_ns + span.dur_ns,
+                    end.ns(),
+                    "{policy:?}: block {block}"
+                );
+            }
         }
     }
 

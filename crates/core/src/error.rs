@@ -47,6 +47,34 @@ pub enum CoreError {
     },
 }
 
+impl CoreError {
+    /// Graceful degradation: an unrecoverable [`CoreError::DeviceFault`]
+    /// or deadline [`CoreError::Cancelled`] aborts a run, but the work
+    /// done up to the abort still cost time and energy. Such an error
+    /// without a report gets the partial report `finish` assembles, so
+    /// callers can account for (and bill) it. Every other error passes
+    /// through untouched, and `finish` is not called.
+    pub fn with_partial_report(self, finish: impl FnOnce() -> RunReport) -> Self {
+        match self {
+            CoreError::DeviceFault {
+                detail,
+                report: None,
+            } => CoreError::DeviceFault {
+                detail,
+                report: Some(Box::new(finish())),
+            },
+            CoreError::Cancelled {
+                detail,
+                report: None,
+            } => CoreError::Cancelled {
+                detail,
+                report: Some(Box::new(finish())),
+            },
+            other => other,
+        }
+    }
+}
+
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -41,6 +41,7 @@
 
 mod accelerator;
 mod error;
+mod ledger;
 mod sfu;
 
 pub mod algorithms;

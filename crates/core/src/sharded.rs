@@ -10,17 +10,23 @@
 //! * shards are dealt round-robin to `jobs` worker [`Engine`]s; worker 0
 //!   runs on the calling thread and workers `1..jobs` each on a scoped OS
 //!   thread (no `'static` bounds needed), so `jobs == 1` spawns nothing;
-//! * every worker drains its committed `BlockCost`s after each shard,
-//!   and the merge re-appends them to the full-bank *primary* engine in
-//!   canonical shard-stream order;
-//! * worker device stats, SFU counters, buffer traffic, and histograms
-//!   are absorbed into the primary, whose single `finish` then computes
-//!   the makespan and energy exactly as a serial run would.
+//! * after each shard — whether it succeeded or failed — its worker
+//!   drains the shard's committed block costs from its cost ledger as one
+//!   *segment*, recorded at the shard's stream position;
+//! * the merge appends the segments to the full-bank *primary* engine's
+//!   ledger in stream order, so the primary's ledger is the serial
+//!   ledger's block sequence, and an aborted run's partial report bills
+//!   every shard that ran;
+//! * at finish, each worker's device stats, SFU counters, buffer traffic
+//!   and remaining ledger counters (phase tallies, rows-per-MAC
+//!   histogram, controller extras) are absorbed into the primary, whose
+//!   single `finish` then walks the schedule and prices energy exactly as
+//!   a serial run would.
 //!
 //! For noise-free configurations the merged [`gaasx_sim::RunReport`] is
 //! bit-identical to the serial one: the block-cost sequence — the only
-//! input to the scheduler — is reassembled in the same order, and every
-//! counter is an integer sum or an order-preserved f64 fold. (With
+//! input to the schedule walk — is reassembled in the same order, and
+//! every counter is an integer sum or an order-preserved f64 fold. (With
 //! conductance noise enabled, per-device RNG draws depend on which engine
 //! executed a shard, so only then do results diverge. Likewise for the
 //! *transient* classes of an active [`FaultModel`](gaasx_xbar::FaultModel):
@@ -41,8 +47,9 @@ use gaasx_graph::partition::{GridPartition, Shard, TraversalOrder};
 use gaasx_sim::{MemorySink, Nanos, RunReport, Tracer};
 
 use crate::config::GaasXConfig;
-use crate::engine::{BlockCost, Engine, WearSnapshot};
+use crate::engine::{Engine, WearSnapshot};
 use crate::error::CoreError;
+use crate::ledger::Segment;
 
 /// Executes the per-shard passes of a shardable algorithm.
 ///
@@ -114,10 +121,10 @@ impl ShardRunner for Engine {
     }
 }
 
-/// One shard's drained block costs and result, at its stream position.
-type ShardYield<T> = (usize, Vec<BlockCost>, T);
-/// A worker's shard results, or the costs it salvaged and its error.
-type WorkerOutcome<T> = Result<Vec<ShardYield<T>>, (Vec<(usize, Vec<BlockCost>)>, CoreError)>;
+/// One shard's stream position, cost segment and, if it succeeded, result.
+type ShardYield<T> = (usize, Segment, Option<T>);
+/// A worker's shard yields, and the error that stopped it, if any.
+type WorkerOutcome<T> = (Vec<ShardYield<T>>, Option<CoreError>);
 
 /// A primary engine plus `jobs` worker engines executing the shard stream
 /// in parallel (see the module docs for the merge model).
@@ -268,15 +275,6 @@ impl ShardedEngine {
         iterations: u32,
         num_edges: u64,
     ) -> RunReport {
-        self.primary.end_block();
-        for worker in &mut self.workers {
-            // Normally a no-op — shard costs drain in stream order during
-            // `for_each_shard` — but after a run aborted by a device fault
-            // this salvages costs stranded on the failing worker, so the
-            // partial report still accounts for the work done.
-            let stranded = worker.take_costs();
-            self.primary.append_costs(stranded);
-        }
         for worker in &self.workers {
             self.primary.absorb_functional(worker);
         }
@@ -334,23 +332,20 @@ impl ShardRunner for ShardedEngine {
             let mut yielded: Vec<ShardYield<T>> = Vec::new();
             let mut pos = j;
             while pos < shards_ref.len() {
-                match f(worker, shards_ref[pos]) {
-                    // Drain the shard's block costs immediately: they are
-                    // re-appended in stream order below.
-                    Ok(result) => yielded.push((pos, worker.take_costs(), result)),
+                let outcome = f(worker, shards_ref[pos]);
+                // Drain the shard's segment whether it succeeded or not:
+                // a failed shard's partial costs still bill the run.
+                let segment = worker.ledger.take_segment();
+                match outcome {
+                    Ok(result) => yielded.push((pos, segment, Some(result))),
                     Err(e) => {
-                        // Salvage the costs of this worker's completed
-                        // shards plus the failing shard's partial costs, so
-                        // the partial report still bills the aborted work.
-                        let mut costs: Vec<(usize, Vec<BlockCost>)> =
-                            yielded.into_iter().map(|(p, c, _)| (p, c)).collect();
-                        costs.push((pos, worker.take_costs()));
-                        return Err((costs, e));
+                        yielded.push((pos, segment, None));
+                        return (yielded, Some(e));
                     }
                 }
                 pos += jobs;
             }
-            Ok(yielded)
+            (yielded, None)
         };
         // Worker 0 runs on the calling thread, so `jobs == 1` never spawns
         // a thread; workers 1.. run on scoped threads alongside it.
@@ -373,51 +368,31 @@ impl ShardRunner for ShardedEngine {
             }),
         };
 
-        let mut slots: Vec<Option<(Vec<BlockCost>, T)>> = Vec::new();
+        let mut slots: Vec<Option<(Segment, Option<T>)>> = Vec::new();
         slots.resize_with(shards.len(), || None);
         let mut aborted: Option<CoreError> = None;
-        let mut salvaged: Vec<(usize, Vec<BlockCost>)> = Vec::new();
-        for outcome in per_worker {
-            match outcome {
-                Ok(yielded) => {
-                    for (pos, costs, result) in yielded {
-                        slots[pos] = Some((costs, result));
-                    }
-                }
-                Err((costs, e)) => {
-                    salvaged.extend(costs);
-                    // Keep the error of the lowest-indexed failing worker
-                    // (workers run their shard subsets independently, so
-                    // this choice is deterministic).
-                    if aborted.is_none() {
-                        aborted = Some(e);
-                    }
-                }
+        for (yielded, error) in per_worker {
+            for (pos, segment, result) in yielded {
+                slots[pos] = Some((segment, result));
             }
+            // Keep the error of the lowest-indexed failing worker (workers
+            // run their shard subsets independently, so this choice is
+            // deterministic).
+            aborted = aborted.or(error);
         }
-        if let Some(e) = aborted {
-            // Fold every salvaged cost — from completed shards of failing
-            // and non-failing workers alike — into the primary in stream
-            // order, so `finish` prices the aborted run's real work.
-            for (pos, slot) in slots.into_iter().enumerate() {
-                if let Some((costs, _)) = slot {
-                    salvaged.push((pos, costs));
-                }
-            }
-            salvaged.sort_by_key(|&(pos, _)| pos);
-            for (_, costs) in salvaged {
-                self.primary.append_costs(costs);
-            }
-            return Err(e);
-        }
+        // Append every recorded segment in stream order. After an abort
+        // the positions a worker never reached stay empty; the rest —
+        // completed shards of every worker and each failing shard's
+        // partial costs — still bill the partial report.
         let mut results = Vec::with_capacity(shards.len());
-        for slot in slots {
-            // gaasx-lint: allow(panic-in-lib) -- scope invariant: each worker writes exactly its own slot before the scope ends
-            let (costs, result) = slot.expect("every shard position filled");
-            self.primary.append_costs(costs);
-            results.push(result);
+        for (segment, result) in slots.into_iter().flatten() {
+            self.primary.ledger.append(segment);
+            results.extend(result);
         }
-        Ok(results)
+        match aborted {
+            Some(e) => Err(e),
+            None => Ok(results),
+        }
     }
 }
 
@@ -563,29 +538,53 @@ mod tests {
 
     #[test]
     fn aborted_runs_salvage_completed_shard_costs() {
-        // A failure partway through the stream must not strand the costs
-        // of already-completed shards: the partial report bills them.
+        // The shard at stream position `ABORT` loads its first block and
+        // then fails. Its worker stops there; the other workers finish
+        // their round-robin share. The partial report must bill exactly
+        // the shards that ran plus the failing shard's one block, merged
+        // in stream order.
+        const ABORT: usize = 4;
         let (_, g) = grid(900, 13);
-        for jobs in [1, 2] {
+        let shards: Vec<&Shard> = g.stream(TraversalOrder::RowMajor).collect();
+        assert!(shards.len() > 2 * ABORT, "the abort lands mid-stream");
+        let position = |shard: &Shard| shards.iter().position(|s| std::ptr::eq(*s, shard));
+        for jobs in [1, 2, 3] {
             let mut sharded = ShardedEngine::new(GaasXConfig::small(), jobs).unwrap();
             let capacity = sharded.engine().block_capacity();
-            let seen = std::sync::atomic::AtomicUsize::new(0);
             let r = sharded.for_each_shard(&g, TraversalOrder::RowMajor, |engine, shard| {
-                if seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst) >= jobs {
-                    return Err(CoreError::InvalidInput("synthetic abort".into()));
-                }
                 for chunk in shard.edges().chunks(capacity) {
                     engine.load_block(chunk, CellLayout::Preset)?;
+                    if position(shard) == Some(ABORT) {
+                        return Err(CoreError::InvalidInput("synthetic abort".into()));
+                    }
                 }
                 Ok(())
             });
-            assert!(r.is_err(), "jobs={jobs}");
+            assert!(matches!(r, Err(CoreError::InvalidInput(_))), "jobs={jobs}");
             let partial = sharded.finish("t", "t", "t", 0, 900);
-            assert!(
-                partial.elapsed_ns > Nanos::ZERO,
-                "jobs={jobs}: completed-shard costs were dropped"
-            );
-            assert!(partial.ops.cells_written > 0, "jobs={jobs}");
+
+            // The failing worker ran its shards before `ABORT`; every
+            // other worker ran all of its shards.
+            let ran = |pos: usize| pos % jobs != ABORT % jobs || pos < ABORT;
+            let mut reference = Engine::new(GaasXConfig::small()).unwrap();
+            let mut want_rows = 0u64;
+            for (pos, shard) in shards.iter().enumerate() {
+                let blocks = match pos {
+                    ABORT => 1,
+                    _ if ran(pos) => usize::MAX,
+                    _ => 0,
+                };
+                for chunk in shard.edges().chunks(capacity).take(blocks) {
+                    reference.load_block(chunk, CellLayout::Preset).unwrap();
+                    want_rows += chunk.len() as u64;
+                }
+                reference.end_block();
+            }
+            let want = reference.finish("t", "t", "t", 0, 900);
+            assert_eq!(partial.ops.row_writes, want_rows, "jobs={jobs}");
+            assert_eq!(partial.ops, want.ops, "jobs={jobs}");
+            assert_eq!(partial.elapsed_ns, want.elapsed_ns, "jobs={jobs}");
+            assert!(partial.elapsed_ns > Nanos::ZERO, "jobs={jobs}");
         }
     }
 

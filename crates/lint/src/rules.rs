@@ -281,10 +281,11 @@ fn no_stat_wipe(ws: &Workspace, out: &mut Vec<Finding>) {
 
 // --- rule 2: unchecked-accounting ---------------------------------------
 
-/// Whether `path` is on the accounting-critical list: the engine cost
-/// model, the SFU counters, and the whole `crates/sim` cost path.
+/// Whether `path` is on the accounting-critical list: the engine, its
+/// cost ledger, the SFU counters, and the whole `crates/sim` cost path.
 fn accounting_scoped(path: &str) -> bool {
     path == "crates/core/src/engine.rs"
+        || path == "crates/core/src/ledger.rs"
         || path == "crates/core/src/sfu.rs"
         || path.starts_with("crates/sim/src/")
 }
@@ -1045,11 +1046,13 @@ impl S {
     }
 }
 ";
-        let ws = ws_of(vec![("crates/sim/src/cost.rs", src)]);
-        let report = check_workspace(&ws);
-        let lines: Vec<usize> = report.findings.iter().map(|f| f.line).collect();
-        assert_eq!(rules_of(&report).len(), 3, "{report:#?}");
-        assert_eq!(lines, vec![4, 5, 6]);
+        for path in ["crates/sim/src/cost.rs", "crates/core/src/ledger.rs"] {
+            let ws = ws_of(vec![(path, src)]);
+            let report = check_workspace(&ws);
+            let lines: Vec<usize> = report.findings.iter().map(|f| f.line).collect();
+            assert_eq!(rules_of(&report).len(), 3, "{path}: {report:#?}");
+            assert_eq!(lines, vec![4, 5, 6], "{path}");
+        }
     }
 
     #[test]

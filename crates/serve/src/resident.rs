@@ -194,24 +194,31 @@ impl ResidentGraph {
         };
         exec.set_search_profile(gaasx_xbar::SearchProfile::Frontier);
         exec.set_deadline(deadline);
-        // (per-query values, per-query iterations, algorithm label).
-        type QueryRun = (Vec<Vec<f64>>, Vec<u32>, &'static str);
+        // The report's algorithm label, for full and partial reports alike.
+        let algorithm = match kind {
+            QueryKind::Bfs { .. } => "bfs",
+            QueryKind::Sssp { .. } => "sssp",
+            QueryKind::BatchBfs { .. } => "bfs_batch",
+            QueryKind::BatchSssp { .. } => "sssp_batch",
+            QueryKind::DebugPanic => "debug_panic",
+        };
+        // (per-query values, per-query iterations).
+        type QueryRun = (Vec<Vec<f64>>, Vec<u32>);
         let run: Result<QueryRun, CoreError> = match kind {
             QueryKind::Bfs { source } => Bfs::from_source(VertexId::new(*source))
                 .execute_on_plan(exec, &self.graph, plan)
-                .map(|r| (vec![r.output], vec![r.iterations], "bfs")),
+                .map(|r| (vec![r.output], vec![r.iterations])),
             QueryKind::Sssp { source } => Sssp::from_source(VertexId::new(*source))
                 .execute_on_plan(exec, &self.graph, plan)
-                .map(|r| (vec![r.output], vec![r.iterations], "sssp")),
+                .map(|r| (vec![r.output], vec![r.iterations])),
             QueryKind::BatchBfs { sources } => {
                 let sources: Vec<VertexId> = sources.iter().map(|&s| VertexId::new(s)).collect();
                 run_batch(exec, &self.graph, plan, false, &sources)
-                    .map(|b| (b.values, b.iterations, "bfs_batch"))
+                    .map(|b| (b.values, b.iterations))
             }
             QueryKind::BatchSssp { sources } => {
                 let sources: Vec<VertexId> = sources.iter().map(|&s| VertexId::new(s)).collect();
-                run_batch(exec, &self.graph, plan, true, &sources)
-                    .map(|b| (b.values, b.iterations, "sssp_batch"))
+                run_batch(exec, &self.graph, plan, true, &sources).map(|b| (b.values, b.iterations))
             }
             QueryKind::DebugPanic => {
                 fn boom() -> ! {
@@ -230,46 +237,23 @@ impl ResidentGraph {
                 boom()
             }
         };
-        match run {
-            Ok((values, iterations, algorithm)) => {
-                let supersteps = iterations.iter().copied().max().unwrap_or(0);
-                let report = exec.finish("gaasx", algorithm, &self.name, supersteps, num_edges);
-                exec.reset_accounting();
-                self.queries_served = self.queries_served.saturating_add(1);
-                Ok(QueryOutput {
-                    values,
-                    iterations,
-                    report,
-                })
+        let run = run.map(|(values, iterations)| {
+            let supersteps = iterations.iter().copied().max().unwrap_or(0);
+            let report = exec.finish("gaasx", algorithm, &self.name, supersteps, num_edges);
+            QueryOutput {
+                values,
+                iterations,
+                report,
             }
-            Err(e) => {
-                let e = match e {
-                    CoreError::DeviceFault {
-                        detail,
-                        report: None,
-                    } => {
-                        let partial = exec.finish("gaasx", "query", &self.name, 0, num_edges);
-                        CoreError::DeviceFault {
-                            detail,
-                            report: Some(Box::new(partial)),
-                        }
-                    }
-                    CoreError::Cancelled {
-                        detail,
-                        report: None,
-                    } => {
-                        let partial = exec.finish("gaasx", "query", &self.name, 0, num_edges);
-                        CoreError::Cancelled {
-                            detail,
-                            report: Some(Box::new(partial)),
-                        }
-                    }
-                    other => other,
-                };
-                exec.reset_accounting();
-                Err(e)
-            }
+        });
+        let run = run.map_err(|e| {
+            e.with_partial_report(|| exec.finish("gaasx", algorithm, &self.name, 0, num_edges))
+        });
+        exec.reset_accounting();
+        if run.is_ok() {
+            self.queries_served = self.queries_served.saturating_add(1);
         }
+        run
     }
 }
 
@@ -396,17 +380,38 @@ mod tests {
     fn deadline_miss_attaches_a_partial_report() {
         let mut r = resident(1);
         r.ensure_resident().unwrap();
-        let e = r
-            .run_query(&QueryKind::Sssp { source: 0 }, Some(Nanos::ZERO))
-            .unwrap_err();
-        match e {
-            CoreError::Cancelled {
-                report: Some(report),
-                ..
-            } => assert!(report.elapsed_ns > Nanos::ZERO),
-            other => panic!("want Cancelled with report, got {other}"),
+        let kinds = [
+            (QueryKind::Bfs { source: 0 }, "bfs"),
+            (QueryKind::Sssp { source: 0 }, "sssp"),
+            (
+                QueryKind::BatchBfs {
+                    sources: vec![0, 3],
+                },
+                "bfs_batch",
+            ),
+            (
+                QueryKind::BatchSssp {
+                    sources: vec![0, 3],
+                },
+                "sssp_batch",
+            ),
+        ];
+        for (kind, algorithm) in &kinds {
+            let e = r.run_query(kind, Some(Nanos::ZERO)).unwrap_err();
+            match e {
+                CoreError::Cancelled {
+                    report: Some(report),
+                    ..
+                } => {
+                    // Labeled like the full report of the same query.
+                    assert_eq!(report.algorithm, *algorithm);
+                    assert!(report.elapsed_ns > Nanos::ZERO, "{algorithm}");
+                }
+                other => panic!("{algorithm}: want Cancelled with report, got {other}"),
+            }
+            // The resident engine is reusable after the miss.
+            let full = r.run_query(kind, None).unwrap();
+            assert_eq!(full.report.algorithm, *algorithm);
         }
-        // The resident engine is reusable after the miss.
-        assert!(r.run_query(&QueryKind::Sssp { source: 0 }, None).is_ok());
     }
 }
