@@ -124,8 +124,8 @@ impl<'a> Block<'a> {
         let mut scratch = Vec::with_capacity(edges.len());
         let mut srcs = Vec::new();
         let mut dsts = Vec::new();
-        plan_field(edges, |e| e.src, &mut scratch, &mut srcs, None);
-        plan_field(edges, |e| e.dst, &mut scratch, &mut dsts, None);
+        plan_field(edges, |e| e.src, &mut scratch, &mut srcs, None, None);
+        plan_field(edges, |e| e.dst, &mut scratch, &mut dsts, None, None);
         Block {
             rows: Cow::Owned(edges.to_vec()),
             distinct_srcs: Cow::Owned(srcs),
@@ -246,21 +246,24 @@ pub struct Engine {
     /// Recovery activity detected by this engine (verify reads, retries,
     /// remaps); merged across sharded workers and surfaced in the report.
     faults: FaultReport,
-    /// Whether searches may replay from a plan's hit index: no fault
-    /// model is attached (stored bits equal the programmed keys) and the
-    /// CAM is wide enough to hold both 32-bit key fields.
+    /// Whether searches may replay from a plan's hit index (see
+    /// [`Engine::replays_plans`]).
     replays_plans: bool,
     /// The table of the most recent planned block, kept across loads so
     /// each engine takes one handle per plan rather than one per load.
     plan_table: Option<Arc<BlockTable>>,
     /// The loaded block's id in `plan_table` while its searches replay
     /// from the hit index (a planned, `Indexed`-resolved block on an
-    /// engine that [`replays_plans`](Engine::replays_plans)).
+    /// engine that [`replays_plans`](Engine::replays_plans), set once the
+    /// block has programmed).
     replay: Option<usize>,
     /// Debug-build scratch for cross-checking every replayed hit vector
     /// against a linear scan of the CAM without allocating per search.
     #[cfg(debug_assertions)]
     check_hits: HitVector,
+    /// The two re-searches of a CAM majority vote (preallocated: the
+    /// voted device search allocates nothing).
+    vote_hits: [HitVector; 2],
     /// The querying algorithm's declared access pattern — the
     /// [`SearchCostModel`]'s workload input when resolving `Auto` blocks.
     search_profile: SearchProfile,
@@ -269,7 +272,8 @@ pub struct Engine {
     search_costs: SearchCostModel,
     /// Reused MAC-code buffer for [`CellLayout::PerEdge`] loading.
     codes_buf: Vec<u32>,
-    /// Scratch for the phys→logical hit translation under remapping.
+    /// Scratch for the phys→logical hit translation under remapping
+    /// (preallocated to the row count).
     hits_scratch: HitVector,
     /// Reused MAC input buffer for [`Engine::gather_rows`].
     inputs_buf: Vec<u32>,
@@ -346,15 +350,18 @@ impl Engine {
             remap_active: false,
             phys_buf,
             faults: FaultReport::default(),
-            replays_plans: !fault_active && config.cam_geometry.width_bits >= 64,
+            replays_plans: (!fault_active
+                || (config.recovery.write_verify && config.fault.cam_upset_rate == 0.0))
+                && config.cam_geometry.width_bits >= 64,
             plan_table: None,
             replay: None,
             #[cfg(debug_assertions)]
             check_hits: HitVector::new(rows),
+            vote_hits: [HitVector::new(rows), HitVector::new(rows)],
             search_profile: SearchProfile::default(),
             search_costs: SearchCostModel::calibrated(&config.energy),
             codes_buf: Vec::with_capacity(config.mac_geometry.cols),
-            hits_scratch: HitVector::new(0),
+            hits_scratch: HitVector::new(rows),
             inputs_buf: Vec::with_capacity(config.mac_geometry.max_active_rows),
             mac_out: Vec::with_capacity(config.mac_geometry.max_active_rows),
             chunk_buf: Vec::with_capacity(config.mac_geometry.max_active_rows),
@@ -392,10 +399,17 @@ impl Engine {
     }
 
     /// Whether searches on planned blocks may replay from the plan's hit
-    /// index: no fault model is attached and the CAM holds both 32-bit
-    /// key fields.
+    /// index: the CAM holds both 32-bit key fields, and every stored key
+    /// equals its planned key and every search returns exactly the stored
+    /// matches. That holds with no fault model attached, and also under
+    /// a fault model with write-verify on and no match-line upsets
+    /// (`cam_upset_rate` 0): a block that loads successfully has every
+    /// slot verified to hold its key — failing rows were retried or
+    /// remapped until they matched, retired rows are invalidated, and
+    /// the load's bulk invalidation cleared every other row.
+    /// Upset models and verify-off engines search the device.
     /// [`StreamPlan::for_engine`](crate::StreamPlan::for_engine) builds
-    /// the index only then.
+    /// the index only for engines that replay.
     pub fn replays_plans(&self) -> bool {
         self.replays_plans
     }
@@ -543,6 +557,9 @@ impl Engine {
             if !self.preset_row_ok(self.log2phys[slot], code, cols)? {
                 self.faults.faults_detected = self.faults.faults_detected.saturating_add(1);
                 self.remap_slot(slot)?;
+                // The spare holds no CAM key for a block loaded before
+                // the preset, so that block's searches go to the device.
+                self.replay = None;
             }
         }
         self.bill_op(Phase::LoadBlock, verify_ns);
@@ -695,8 +712,9 @@ impl Engine {
     /// A planned block programs straight from its plan: no collect, sort
     /// or copy. On an engine that [`replays_plans`](Engine::replays_plans),
     /// a plan with a hit index makes the block's index prebuilt, so `Auto`
-    /// charges no index build; if the block resolves `Indexed`, its
-    /// searches replay from the plan (billed exactly as device searches).
+    /// charges no index build; if the block resolves `Indexed` and
+    /// programs successfully, its searches replay from the plan (billed
+    /// exactly as device searches, votes included).
     ///
     /// # Errors
     ///
@@ -730,16 +748,7 @@ impl Engine {
         );
         self.cam.set_search_mode(resolved);
         self.replay = None;
-        if let Some((table, id)) = indexed.filter(|_| resolved == SearchMode::Indexed) {
-            if !self
-                .plan_table
-                .as_ref()
-                .is_some_and(|t| Arc::ptr_eq(t, table))
-            {
-                self.plan_table = Some(Arc::clone(table));
-            }
-            self.replay = Some(id);
-        }
+        let replay = indexed.filter(|_| resolved == SearchMode::Indexed);
 
         // The CAM key programs as one ternary word; the MAC row programs
         // its values in the paired array concurrently — the slower of the
@@ -778,6 +787,18 @@ impl Engine {
             // gaasx-lint: end-hot
         }
         self.codes_buf = codes;
+        // Every slot now holds its planned key (verified, when faults are
+        // injected), so the block's searches may replay from the plan.
+        if let Some((table, id)) = replay {
+            if !self
+                .plan_table
+                .as_ref()
+                .is_some_and(|t| Arc::ptr_eq(t, table))
+            {
+                self.plan_table = Some(Arc::clone(table));
+            }
+            self.replay = Some(id);
+        }
 
         let bytes = edges.len() as u64 * self.config.edge_record_bytes;
         self.input_buf.write(bytes);
@@ -827,17 +848,22 @@ impl Engine {
     /// against transient upsets, and translates physical hit rows back to
     /// logical slots.
     ///
-    /// The search is *always* billed (time, energy, `cam_searches`) as one
-    /// physical CAM operation — the hardware searches every time. When the
-    /// loaded block replays from its plan, the host reads the hit vector
-    /// from the plan's hit index instead of deriving it from the CAM,
-    /// which is what makes the plan invisible in every [`RunReport`].
+    /// The search is *always* billed (time, energy, `cam_searches`) as
+    /// the device operations it models — one CAM search, or three under
+    /// `cam_double_check` with a fault model attached. When the loaded
+    /// block replays from its plan, the host reads the hit vector from
+    /// the plan's hit index instead of deriving it from the CAM, which is
+    /// what makes the plan invisible in every [`RunReport`]: a replayed
+    /// vote bills what the voted device search bills and draws no upset
+    /// (replaying engines have an upset rate of 0, so the device search
+    /// would draw none either).
     fn searched_into(&mut self, field: KeyField, v: VertexId, out: &mut HitVector) {
         let (key, mask) = match field {
             KeyField::Src => (u128::from(v.raw()) << 32, 0xFFFF_FFFF_0000_0000),
             KeyField::Dst => (u128::from(v.raw()), 0xFFFF_FFFF),
         };
         let ns = self.config.energy.cam_search_ns;
+        let voted = self.fault_active && self.config.recovery.cam_double_check;
         self.bill_block_op(Phase::CamSearch, ns);
         if let (Some(block), Some(table)) = (self.replay, self.plan_table.as_ref()) {
             // Outside the fence: gaasx-lint resolves calls by name, and
@@ -847,45 +873,46 @@ impl Engine {
             table.mark_hits(block, field, v, out);
             self.cam.count_replayed_search();
             // gaasx-lint: end-hot
+            if voted {
+                for _ in 0..2 {
+                    self.bill_block_op(Phase::CamSearch, ns);
+                    self.cam.count_replayed_search();
+                }
+                self.faults.cam_double_checks = self.faults.cam_double_checks.saturating_add(1);
+            }
             #[cfg(debug_assertions)]
             {
                 self.cam.scan_into(key, mask, &mut self.check_hits);
+                let scanned = if self.remap_active {
+                    logical_hits(&self.phys2log, &self.check_hits, &mut self.hits_scratch);
+                    &self.hits_scratch
+                } else {
+                    &self.check_hits
+                };
                 debug_assert!(
-                    *out == self.check_hits,
+                    out == scanned,
                     "plan-replayed hits diverged from the CAM scan ({field:?} {v})"
                 );
             }
             return;
         }
         self.cam.search_into(key, mask, out);
-        if self.fault_active && self.config.recovery.cam_double_check {
+        if voted {
             // Two extra searches; a per-row majority vote masks any single
             // transient upset. Each re-search is charged like the first.
-            // (A fault path — never replayed, allocation here is fine.)
             self.bill_block_op(Phase::CamSearch, ns);
-            let second = self.cam.search(key, mask);
+            self.cam.search_into(key, mask, &mut self.vote_hits[0]);
             self.bill_block_op(Phase::CamSearch, ns);
-            let third = self.cam.search(key, mask);
-            let voted = out
-                .and(&second)
-                .or(&out.and(&third))
-                .or(&second.and(&third));
-            out.copy_from(&voted);
+            self.cam.search_into(key, mask, &mut self.vote_hits[1]);
+            out.majority_with(&self.vote_hits[0], &self.vote_hits[1]);
             self.faults.cam_double_checks = self.faults.cam_double_checks.saturating_add(1);
         }
         if self.remap_active {
             // Remapped slots match at their spare's physical row; report
             // them at their logical slot so algorithms stay oblivious to
-            // remapping. (Remaps require an active fault model, so this
-            // never runs on the replayed path.)
+            // remapping. (Replayed hits are logical slots already.)
             std::mem::swap(out, &mut self.hits_scratch);
-            out.reset(self.hits_scratch.len());
-            for phys in self.hits_scratch.iter_ones() {
-                let slot = self.phys2log[phys];
-                if slot != UNMAPPED {
-                    out.set(slot);
-                }
-            }
+            logical_hits(&self.phys2log, &self.hits_scratch, out);
         }
     }
 
@@ -1439,6 +1466,18 @@ impl Engine {
     /// plus the serial controller extras.
     pub fn makespan_ns(&self) -> Nanos {
         self.ledger.makespan_ns(&self.config)
+    }
+}
+
+/// Writes into `out` the logical slots behind the physical hit rows of
+/// `phys` (rows mapping to no slot — spares and retired rows — drop out).
+fn logical_hits(phys2log: &[usize], phys: &HitVector, out: &mut HitVector) {
+    out.reset(phys.len());
+    for row in phys.iter_ones() {
+        let slot = phys2log[row];
+        if slot != UNMAPPED {
+            out.set(slot);
+        }
     }
 }
 
@@ -2036,6 +2075,80 @@ mod tests {
         assert!(r.faults.cam_double_checks >= 1);
         // Three physical searches per logical one.
         assert_eq!(r.ops.cam_searches, 3);
+    }
+
+    #[test]
+    fn verified_fault_engines_replay_every_planned_search() {
+        use crate::plan::StreamPlan;
+        let graph =
+            generators::rmat(&generators::RmatConfig::new(1 << 7, 1500).with_seed(3)).unwrap();
+        // `traverse`'s fault model, and one that remaps rows onto spares.
+        let models = [
+            FaultModel {
+                seed: 0xBE05,
+                cam_stuck_ber: 1e-4,
+                mac_stuck_ber: 1e-4,
+                write_fail_rate: 1e-3,
+                ..FaultModel::none()
+            },
+            FaultModel {
+                seed: 7,
+                cam_stuck_ber: 1e-3,
+                mac_stuck_ber: 1e-3,
+                write_fail_rate: 1e-2,
+                ..FaultModel::none()
+            },
+        ];
+        for fault in models {
+            let mut replayed = faulty(fault, RecoveryPolicy::standard());
+            let mut device = Engine::new(GaasXConfig {
+                search_mode: SearchMode::Linear,
+                ..replayed.config().clone()
+            })
+            .unwrap();
+            assert!(replayed.replays_plans());
+            let plan = StreamPlan::for_engine(partition_for_streaming(&graph).unwrap(), &replayed);
+            let cells = |e: &Edge, c: &mut Vec<u32>| c.extend_from_slice(&[e.weight as u32, 1]);
+            let (mut got, mut want) = (HitVector::new(0), HitVector::new(0));
+            let mut searches = 0u64;
+            for shard in plan.grid().shards() {
+                for block in plan.blocks_of(shard) {
+                    replayed
+                        .load_planned(&block, CellLayout::PerEdge(&cells))
+                        .unwrap();
+                    device
+                        .load_planned(&block, CellLayout::PerEdge(&cells))
+                        .unwrap();
+                    assert!(replayed.replay.is_some(), "a verified block replays");
+                    assert!(device.replay.is_none(), "a Linear block searches");
+                    let keys = block.distinct_srcs().iter().chain(block.distinct_dsts());
+                    for &v in keys.chain(&[VertexId::new(1 << 7)]) {
+                        replayed.search_src_into(v, &mut got);
+                        device.search_src_into(v, &mut want);
+                        assert_eq!(got, want, "src {v}");
+                        let a = replayed.propagate_rows(&got, &[0], &[1]).unwrap();
+                        assert_eq!(a, device.propagate_rows(&want, &[0], &[1]).unwrap());
+                        replayed.search_dst_into(v, &mut got);
+                        device.search_dst_into(v, &mut want);
+                        assert_eq!(got, want, "dst {v}");
+                        let a = replayed.gather_rows(&got, &mut |_| 1, 0).unwrap();
+                        assert_eq!(a, device.gather_rows(&want, &mut |_| 1, 0).unwrap());
+                        searches += 2;
+                    }
+                }
+            }
+            let (r, d) = (
+                replayed.finish("t", "t", "t", 1, 0),
+                device.finish("t", "t", "t", 1, 0),
+            );
+            assert_eq!(r, d);
+            // Each logical search bills three voted device searches.
+            assert_eq!(r.faults.cam_double_checks, searches);
+            assert_eq!(r.ops.cam_searches, 3 * searches);
+            if fault.seed == 7 {
+                assert!(r.faults.row_remaps > 0, "{:?}", r.faults);
+            }
+        }
     }
 
     #[test]

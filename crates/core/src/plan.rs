@@ -7,14 +7,20 @@
 //! (each shard chunked exactly as `shard.edges().chunks(capacity)`), its
 //! ascending distinct sources and destinations and — optionally — an
 //! exact-match *hit index*: the block-local rows that hold each distinct
-//! source and each distinct destination.
+//! source and each distinct destination. Shard edges are sorted by
+//! `(dst, src)`, so a destination's rows are a contiguous run and only
+//! the source rows are stored.
 //!
 //! An engine programs a planned block with no per-load sort, dedup or
-//! copy. A fault-free engine also serves the block's `Indexed`-resolved
-//! searches from the hit index instead of searching the CAM. The searches are still
-//! billed as device operations, so reports are unchanged. Under a fault
-//! model the stored bits can diverge from the programmed keys, so the
-//! index would be wrong there; [`StreamPlan::for_engine`] skips it.
+//! copy. An engine that [replays plans](Engine::replays_plans) also serves
+//! the block's `Indexed`-resolved searches from the hit index instead of
+//! searching the CAM. The searches are still billed as device operations
+//! (majority votes included), so reports are unchanged. Replay needs every
+//! stored key to equal its planned key and every search to return exactly
+//! the stored matches: true without a fault model, and true under one with
+//! write-verify on and no match-line upsets, where a successful load has
+//! verified every slot. Upset models or verify-off engines can diverge
+//! from the plan, so [`StreamPlan::for_engine`] skips the index for them.
 //!
 //! One plan is built per run, or once per registered graph by a serving
 //! layer, and is shared by reference with every worker engine. It holds
@@ -54,16 +60,20 @@ struct BlockMeta {
 }
 
 /// Block-local rows per distinct key, as a CSR over the table's keys.
+///
+/// A shard's edges are sorted by `(dst, src)`, so a block's rows grouped
+/// by ascending destination are the rows in order: each destination's
+/// rows are the contiguous run between its group's start and end, and
+/// only the source field needs a row list.
 #[derive(Debug)]
 struct HitIndex {
     /// Parallel to `BlockTable::keys`: the end of each key's rows in its
     /// block's row list for that field (the start is the previous key's
-    /// end, or 0 for a field's first key).
+    /// end, or 0 for a field's first key). For a destination these are
+    /// block-local rows themselves.
     ends: Vec<u16>,
     /// Per block, its rows grouped by ascending source (`rows_at..+len`).
     src_rows: Vec<u16>,
-    /// Per block, its rows grouped by ascending destination.
-    dst_rows: Vec<u16>,
 }
 
 /// The per-block metadata of a plan, shared by every engine that loads
@@ -101,9 +111,9 @@ impl BlockTable {
         let (Some(b), Some(hits)) = (self.blocks.get(block), self.hits.as_ref()) else {
             return;
         };
-        let (keys_at, num_keys, row_list) = match field {
-            KeyField::Src => (b.keys_at, b.num_srcs, &hits.src_rows),
-            KeyField::Dst => (b.keys_at + b.num_srcs, b.num_dsts, &hits.dst_rows),
+        let (keys_at, num_keys) = match field {
+            KeyField::Src => (b.keys_at, b.num_srcs),
+            KeyField::Dst => (b.keys_at + b.num_srcs, b.num_dsts),
         };
         let keys = keys_at as usize..(keys_at + num_keys) as usize;
         let Ok(i) = self.keys[keys.clone()].binary_search(&v) else {
@@ -115,9 +125,18 @@ impl BlockTable {
             usize::from(hits.ends[keys.start + i - 1])
         };
         let end = usize::from(hits.ends[keys.start + i]);
-        let block_rows = b.rows_at as usize..(b.rows_at + b.len) as usize;
-        for &row in &row_list[block_rows][start..end] {
-            out.set(usize::from(row));
+        match field {
+            KeyField::Src => {
+                let block_rows = b.rows_at as usize..(b.rows_at + b.len) as usize;
+                for &row in &hits.src_rows[block_rows][start..end] {
+                    out.set(usize::from(row));
+                }
+            }
+            KeyField::Dst => {
+                for row in start..end {
+                    out.set(row);
+                }
+            }
         }
     }
 
@@ -126,7 +145,7 @@ impl BlockTable {
     fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let hits = self.hits.as_ref().map_or(0, |h| {
-            size_of::<u16>() * (h.ends.capacity() + h.src_rows.capacity() + h.dst_rows.capacity())
+            size_of::<u16>() * (h.ends.capacity() + h.src_rows.capacity())
         });
         size_of::<(u32, u32)>() * self.shard_coords.capacity()
             + size_of::<u32>() * self.shard_first.capacity()
@@ -154,8 +173,10 @@ impl StreamPlan {
 
     /// Plans `grid` for `engine`: blocks of its
     /// [`block_capacity`](Engine::block_capacity), with a hit index only
-    /// when the engine can replay searches from it (no fault model, and
-    /// a CAM wide enough to hold both 32-bit key fields).
+    /// when the engine can replay searches from it
+    /// ([`Engine::replays_plans`]: no fault model, or write-verify with no
+    /// match-line upsets; and a CAM wide enough to hold both 32-bit key
+    /// fields).
     pub fn for_engine(grid: GridPartition, engine: &Engine) -> Self {
         Self::build(grid, engine.block_capacity(), engine.replays_plans())
     }
@@ -165,7 +186,6 @@ impl StreamPlan {
         let mut hits = (hit_index && capacity <= usize::from(u16::MAX)).then(|| HitIndex {
             ends: Vec::new(),
             src_rows: Vec::with_capacity(grid.total_edges()),
-            dst_rows: Vec::with_capacity(grid.total_edges()),
         });
         let mut shard_coords = Vec::with_capacity(grid.num_nonempty_shards());
         let mut shard_first = Vec::with_capacity(grid.num_nonempty_shards() + 1);
@@ -178,19 +198,23 @@ impl StreamPlan {
             shard_first.push(blocks.len() as u32);
             for (i, chunk) in shard.edges().chunks(capacity).enumerate() {
                 let keys_at = keys.len() as u32;
-                let num_srcs = plan_field(
-                    chunk,
-                    |e| e.src,
-                    &mut scratch,
-                    &mut keys,
-                    hits.as_mut().map(|h| (&mut h.ends, &mut h.src_rows)),
+                let (ends, src_rows) = match hits.as_mut() {
+                    Some(h) => (Some(&mut h.ends), Some(&mut h.src_rows)),
+                    None => (None, None),
+                };
+                let num_srcs =
+                    plan_field(chunk, |e| e.src, &mut scratch, &mut keys, ends, src_rows);
+                debug_assert!(
+                    chunk.windows(2).all(|w| w[0].dst <= w[1].dst),
+                    "shard edges must be sorted by destination"
                 );
                 let num_dsts = plan_field(
                     chunk,
                     |e| e.dst,
                     &mut scratch,
                     &mut keys,
-                    hits.as_mut().map(|h| (&mut h.ends, &mut h.dst_rows)),
+                    hits.as_mut().map(|h| &mut h.ends),
+                    None,
                 );
                 blocks.push(BlockMeta {
                     first_edge: (i * capacity) as u32,
@@ -280,16 +304,17 @@ impl StreamPlan {
     }
 }
 
-/// Appends the ascending distinct values of `key` over `edges` to `keys`
-/// and, with a hit index, each value's block-local rows (grouped by value,
-/// ascending within a group) to `rows` and its group end to `ends`.
-/// Returns the distinct count.
+/// Appends the ascending distinct values of `key` over `edges` to `keys`,
+/// each value's group end to `ends` when given, and each value's
+/// block-local rows (grouped by value, ascending within a group) to `rows`
+/// when given. Returns the distinct count.
 pub(crate) fn plan_field(
     edges: &[Edge],
     key: impl Fn(&Edge) -> VertexId,
     scratch: &mut Vec<u64>,
     keys: &mut Vec<VertexId>,
-    mut index: Option<(&mut Vec<u16>, &mut Vec<u16>)>,
+    mut ends: Option<&mut Vec<u16>>,
+    mut rows: Option<&mut Vec<u16>>,
 ) -> u32 {
     scratch.clear();
     scratch.extend(
@@ -305,13 +330,13 @@ pub(crate) fn plan_field(
         let group_ends = scratch
             .get(i + 1)
             .map_or(true, |&next| (next >> 32) as u32 != v);
-        if let Some((ends, rows)) = index.as_mut() {
+        if let Some(rows) = rows.as_mut() {
             rows.push(packed as u16);
-            if group_ends {
-                ends.push((i + 1) as u16);
-            }
         }
         if group_ends {
+            if let Some(ends) = ends.as_mut() {
+                ends.push((i + 1) as u16);
+            }
             keys.push(VertexId::new(v));
             distinct += 1;
         }
@@ -397,35 +422,83 @@ mod tests {
     }
 
     #[test]
-    fn the_plan_stays_within_sixteen_bytes_per_edge() {
+    fn the_plan_stays_within_seven_and_a_half_bytes_per_edge() {
         // The serve and pagerank benchmark shapes: RMAT graphs on the
-        // paper's 128-row banks.
+        // paper's 128-row banks. Measured: 6.40 and 7.32 bytes per edge
+        // (one u16 source row per edge; destination rows are implicit).
         for (vertices, edges) in [(1 << 11, 30_000), (1 << 13, 100_000)] {
             let g = rmat(vertices, edges, 1);
             let plan = StreamPlan::new(partition_for_streaming(&g).unwrap(), 128);
             assert!(plan.has_hit_index());
             let per_edge = plan.table.heap_bytes() as f64 / edges as f64;
-            assert!(per_edge <= 16.0, "{per_edge:.2} bytes per edge");
+            assert!(per_edge <= 7.5, "{per_edge:.2} bytes per edge");
         }
     }
 
     #[test]
-    fn fault_models_and_huge_banks_get_no_hit_index() {
+    fn destination_rows_are_contiguous_runs() {
+        // The hit index stores no destination row list: a block's rows
+        // for each destination must be the run between its group bounds.
+        let g = rmat(1 << 7, 3000, 4);
+        let plan = StreamPlan::new(partition_for_streaming(&g).unwrap(), 128);
+        for shard in plan.grid().shards() {
+            for block in plan.blocks_of(shard) {
+                let mut start = 0;
+                for &dst in block.distinct_dsts() {
+                    let rows: Vec<usize> = (0..block.len())
+                        .filter(|&r| block.edge(r).dst == dst)
+                        .collect();
+                    assert_eq!(rows, (start..start + rows.len()).collect::<Vec<_>>());
+                    start += rows.len();
+                }
+                assert_eq!(start, block.len());
+            }
+        }
+    }
+
+    #[test]
+    fn verified_upset_free_fault_models_get_a_hit_index() {
         let g = rmat(1 << 6, 300, 3);
         let grid = partition_for_streaming(&g).unwrap();
+        let engine = |fault: gaasx_xbar::FaultModel, recovery: crate::RecoveryPolicy| {
+            Engine::new(GaasXConfig {
+                fault,
+                recovery,
+                ..GaasXConfig::small()
+            })
+            .unwrap()
+        };
+        let stuck = gaasx_xbar::FaultModel {
+            seed: 1,
+            cam_stuck_ber: 1e-4,
+            mac_stuck_ber: 1e-4,
+            write_fail_rate: 1e-3,
+            ..gaasx_xbar::FaultModel::none()
+        };
+        let upsets = gaasx_xbar::FaultModel {
+            cam_upset_rate: 1e-3,
+            ..stuck
+        };
+        let verify_off = crate::RecoveryPolicy {
+            write_verify: false,
+            ..crate::RecoveryPolicy::standard()
+        };
+        let standard = crate::RecoveryPolicy::standard();
         let clean = Engine::new(GaasXConfig::small()).unwrap();
         assert!(StreamPlan::for_engine(grid.clone(), &clean).has_hit_index());
-        let faulty = Engine::new(GaasXConfig {
-            fault: gaasx_xbar::FaultModel {
-                seed: 1,
-                cam_stuck_ber: 1e-4,
-                ..gaasx_xbar::FaultModel::none()
-            },
-            recovery: crate::RecoveryPolicy::standard(),
-            ..GaasXConfig::small()
-        })
-        .unwrap();
-        assert!(!StreamPlan::for_engine(grid.clone(), &faulty).has_hit_index());
+        // Write-verify and no match-line upsets: every stored key is its
+        // planned key, so searches replay.
+        for verified in [
+            engine(stuck, standard),
+            engine(stuck, crate::RecoveryPolicy::detect_only()),
+        ] {
+            assert!(verified.replays_plans());
+            assert!(StreamPlan::for_engine(grid.clone(), &verified).has_hit_index());
+        }
+        for device in [engine(upsets, standard), engine(stuck, verify_off)] {
+            assert!(!device.replays_plans());
+            assert!(!StreamPlan::for_engine(grid.clone(), &device).has_hit_index());
+        }
         assert!(!StreamPlan::new(grid, 1 << 16).has_hit_index());
     }
 }

@@ -13,6 +13,7 @@ use gaasx_core::{
 };
 use gaasx_graph::generators::{rmat, RmatConfig};
 use gaasx_graph::{CooGraph, Edge, VertexId};
+use gaasx_sim::RunReport;
 use gaasx_xbar::FaultModel;
 use proptest::prelude::*;
 
@@ -43,8 +44,14 @@ fn bank_config(bank: &str, fault: bool) -> GaasXConfig {
 }
 
 /// Runs `algorithm` under all three search modes (same geometry, jobs,
-/// fault setting) and checks output and full-report identity.
-fn assert_mode_invariant<A>(algorithm: &A, input: &A::Input, cfg: &GaasXConfig, jobs: usize)
+/// fault setting) and checks output and full-report identity. Returns the
+/// `Auto` run's report.
+fn assert_mode_invariant<A>(
+    algorithm: &A,
+    input: &A::Input,
+    cfg: &GaasXConfig,
+    jobs: usize,
+) -> RunReport
 where
     A: ShardableAlgorithm,
     A::Output: PartialEq + std::fmt::Debug,
@@ -82,6 +89,7 @@ where
             algorithm.name()
         );
     }
+    auto.report
 }
 
 fn test_graph(edges: usize, seed: u64) -> CooGraph {
@@ -102,6 +110,45 @@ fn auto_matches_both_fixed_modes_across_the_matrix() {
                 assert_mode_invariant(&Sssp::from_source(VertexId::new(0)), &graph, &cfg, jobs);
                 assert_mode_invariant(&Bfs::from_source(VertexId::new(0)), &graph, &cfg, jobs);
                 assert_mode_invariant(&ConnectedComponents::new(), &sym, &cfg, jobs);
+            }
+        }
+    }
+}
+
+/// Verified, upset-free fault models replay their planned searches from
+/// the plan's hit index under `Auto`; `Linear` always searches the device.
+/// Under `traverse`'s fault model and under a model that remaps rows onto
+/// spares (without exhausting them), the replayed runs must match the
+/// device scan bit for bit on every algorithm, serially and sharded.
+#[test]
+fn verified_fault_runs_replay_bit_identically_to_the_device_scan() {
+    let graph = test_graph(600, 7);
+    let sym = graph.symmetrized();
+    let traverse = bank_config("paper", true);
+    let remapping = GaasXConfig {
+        fault: FaultModel {
+            seed: 7,
+            cam_stuck_ber: 3e-4,
+            mac_stuck_ber: 3e-4,
+            write_fail_rate: 1e-2,
+            ..FaultModel::none()
+        },
+        ..traverse.clone()
+    };
+    for (cfg, remaps) in [(traverse, false), (remapping, true)] {
+        assert!(Engine::new(cfg.clone()).unwrap().replays_plans());
+        for jobs in [1usize, 2] {
+            let reports = [
+                assert_mode_invariant(&PageRank::fixed_iterations(3), &graph, &cfg, jobs),
+                assert_mode_invariant(&Sssp::from_source(VertexId::new(0)), &graph, &cfg, jobs),
+                assert_mode_invariant(&Bfs::from_source(VertexId::new(0)), &graph, &cfg, jobs),
+                assert_mode_invariant(&ConnectedComponents::new(), &sym, &cfg, jobs),
+            ];
+            for r in &reports {
+                assert!(r.faults.cam_double_checks > 0, "{:?}", r.faults);
+                if remaps {
+                    assert!(r.faults.row_remaps > 0, "{}: {:?}", r.algorithm, r.faults);
+                }
             }
         }
     }

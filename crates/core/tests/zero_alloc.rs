@@ -11,6 +11,10 @@
 //!   over its sources, allocates nothing even on the engine's *first*
 //!   visit — the plan carries the block's metadata and hit index, and the
 //!   engine's buffers are sized at construction.
+//! * A device-searched block under match-line upsets: the triple-voted
+//!   search (two re-searches plus the majority vote) and the physical →
+//!   logical hit translation of remapped rows allocate nothing once the
+//!   CAM's index and the MAC's fallback buffer are warm.
 //!
 //! The tests install a counting global allocator that counts per thread,
 //! so the two tests can run concurrently in this binary without
@@ -22,9 +26,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gaasx_core::engine::{partition_for_streaming, CellLayout, Engine};
-use gaasx_core::{GaasXConfig, SearchMode, StreamPlan};
+use gaasx_core::{GaasXConfig, RecoveryPolicy, SearchMode, StreamPlan};
 use gaasx_graph::{generators, Edge};
-use gaasx_xbar::HitVector;
+use gaasx_xbar::{FaultModel, HitVector};
 
 /// Counts every allocation and reallocation the calling thread makes
 /// through the global allocator; deallocations are free.
@@ -146,5 +150,67 @@ fn a_planned_block_allocates_nothing_on_its_first_visit() {
     assert_eq!(
         allocs, 0,
         "first planned load + search/gather + search/propagate performed {allocs} heap allocations"
+    );
+}
+
+#[test]
+fn voted_device_searches_allocate_nothing_in_steady_state() {
+    let graph = generators::rmat(&generators::RmatConfig::new(1 << 6, 400).with_seed(11)).unwrap();
+    let mut engine = Engine::new(GaasXConfig {
+        fault: FaultModel {
+            seed: 7,
+            cam_stuck_ber: 1e-3,
+            mac_stuck_ber: 1e-3,
+            cam_upset_rate: 0.05,
+            adc_flip_rate: 1e-3,
+            ..FaultModel::none()
+        },
+        recovery: RecoveryPolicy::standard(),
+        ..GaasXConfig::small()
+    })
+    .unwrap();
+    // Upsets make the device search: no hit index, no replay.
+    assert!(!engine.replays_plans());
+    let plan = StreamPlan::for_engine(partition_for_streaming(&graph).unwrap(), &engine);
+    let shard = plan.grid().shards().max_by_key(|s| s.num_edges()).unwrap();
+    let block = plan.blocks_of(shard).next().unwrap();
+    let cells = |_e: &Edge, c: &mut Vec<u32>| c.push(1u32);
+    engine
+        .load_planned(&block, CellLayout::PerEdge(&cells))
+        .unwrap();
+    let rows = engine.config().cam_geometry.rows;
+    let mut hits = HitVector::new(rows);
+    let mut results: Vec<(usize, u64)> = Vec::with_capacity(rows);
+    let mut pass = |engine: &mut Engine| {
+        let mut work = 0u64;
+        for &dst in block.distinct_dsts() {
+            engine.search_dst_into(dst, &mut hits);
+            work += engine.gather_rows(&hits, &mut |_| 1, 0).unwrap();
+        }
+        for &src in block.distinct_srcs() {
+            engine.search_src_into(src, &mut hits);
+            engine
+                .propagate_rows_into(&hits, &[0], &[1], &mut results)
+                .unwrap();
+            work += results.len() as u64;
+        }
+        work
+    };
+    // Two warm passes build the CAM's field indexes and size the MAC's
+    // full-evaluation buffer (ADC flips force full read-outs).
+    let warm = pass(&mut engine) + pass(&mut engine);
+    assert!(warm > 0, "warm passes must do real work");
+
+    let before = allocs();
+    let work = pass(&mut engine);
+    let allocs = allocs() - before;
+
+    assert!(work > 0);
+    let r = engine.finish("t", "t", "t", 1, 0);
+    assert!(r.faults.cam_double_checks > 0, "{:?}", r.faults);
+    assert!(r.faults.row_remaps > 0, "{:?}", r.faults);
+    assert_eq!(
+        allocs, 0,
+        "steady-state voted search + gather/propagate pass performed {allocs} heap allocations"
     );
 }

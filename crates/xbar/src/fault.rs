@@ -175,6 +175,7 @@ const MAC_DOMAIN: u64 = 0x6D61_635F_7374_7563; // "mac_stuc"
 const CAM_DOMAIN: u64 = 0x6361_6D5F_7374_7563; // "cam_stuc"
 
 /// Polarity of a stuck device.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stuck {
     /// Minimum conductance — the cell reads as all-zero bits.
@@ -186,9 +187,11 @@ enum Stuck {
 /// Runtime fault state attached to a [`MacCrossbar`](crate::MacCrossbar).
 ///
 /// Stuck faults are applied *at write time*: the crossbar's cell array always
-/// holds the post-fault view, so the hot MAC loops read it unchanged. Wear is
-/// tracked per physical cell; a worn-out cell becomes permanently
-/// stuck-at-GMIN, which the next verify pass detects.
+/// holds the post-fault view, so the hot MAC loops read it unchanged. The
+/// positional stuck map is precomputed into per-cell GMIN/GMAX slice masks
+/// (as [`CamFaultState`] does for its rows), so applying it to a code is two
+/// bit-ops. Wear is tracked per physical cell; a worn-out cell becomes
+/// permanently stuck-at-GMIN, which the next verify pass detects.
 #[derive(Debug, Clone)]
 pub struct MacFaultState {
     model: FaultModel,
@@ -196,6 +199,11 @@ pub struct MacFaultState {
     slices: usize,
     bits_per_cell: u32,
     adc_bits: u32,
+    /// Per-cell mask of the slice bits stuck at GMIN (cleared on every
+    /// write), indexed `row * cols + col`; empty when `mac_stuck_ber` is 0.
+    gmin: Vec<u32>,
+    /// Per-cell mask of the slice bits stuck at GMAX (set on every write).
+    gmax: Vec<u32>,
     /// Per-cell write counts, indexed `row * cols + col`; empty when
     /// endurance tracking is off.
     wear: Vec<u64>,
@@ -204,10 +212,32 @@ pub struct MacFaultState {
 }
 
 impl MacFaultState {
-    /// Builds fault state for a crossbar of the given geometry.
+    /// Builds fault state for a crossbar of the given geometry, precomputing
+    /// the positional stuck masks.
     pub fn new(model: FaultModel, geometry: &MacGeometry) -> Self {
+        let cells = geometry.rows * geometry.cols;
+        let (mut gmin, mut gmax) = (Vec::new(), Vec::new());
+        if model.mac_stuck_ber > 0.0 {
+            gmin = vec![0u32; cells];
+            gmax = vec![0u32; cells];
+            let cell_mask = (1u32 << geometry.bits_per_cell) - 1;
+            for cell in 0..cells {
+                for slice in 0..geometry.slices {
+                    let position = (cell * geometry.slices + slice) as u64;
+                    let h = stuck_hash(model.seed, MAC_DOMAIN, position);
+                    if unit(h) < model.mac_stuck_ber {
+                        let bits = cell_mask << (slice as u32 * geometry.bits_per_cell);
+                        if h & 1 == 0 {
+                            gmin[cell] |= bits;
+                        } else {
+                            gmax[cell] |= bits;
+                        }
+                    }
+                }
+            }
+        }
         let wear = if model.endurance > 0 {
-            vec![0u64; geometry.rows * geometry.cols]
+            vec![0u64; cells]
         } else {
             Vec::new()
         };
@@ -217,6 +247,8 @@ impl MacFaultState {
             slices: geometry.slices,
             bits_per_cell: geometry.bits_per_cell,
             adc_bits: geometry.adc_bits,
+            gmin,
+            gmax,
             wear,
             rng: SmallRng::seed_from_u64(mix64(model.seed ^ MAC_DOMAIN)),
             stats: FaultStats::default(),
@@ -252,7 +284,19 @@ impl MacFaultState {
         self.stats = FaultStats::default();
     }
 
-    /// Positional stuck decision for one physical device (bit-slice cell).
+    /// Whether this state perturbs MAC samples as they are read out (an
+    /// ADC flip rate above 0, which draws from the RNG per sample). Stuck
+    /// and transient write faults live in the cell array instead, so
+    /// without sample perturbation every crossed line is independent and a
+    /// restricted read-out equals the full one.
+    pub fn perturbs_samples(&self) -> bool {
+        self.model.adc_flip_rate > 0.0
+    }
+
+    /// Positional stuck decision for one physical device (bit-slice cell):
+    /// the per-slice hash the precomputed masks are built from, kept as
+    /// their test oracle.
+    #[cfg(test)]
     fn stuck_slice(&self, row: usize, col: usize, slice: usize) -> Option<Stuck> {
         if self.model.mac_stuck_ber <= 0.0 {
             return None;
@@ -278,20 +322,11 @@ impl MacFaultState {
         if self.worn_out(row, col) {
             return 0; // a dead cell holds GMIN in every slice
         }
-        if self.model.mac_stuck_ber <= 0.0 {
+        if self.gmin.is_empty() {
             return code;
         }
-        let cell_mask = (1u32 << self.bits_per_cell) - 1;
-        let mut out = code;
-        for slice in 0..self.slices {
-            let shift = slice as u32 * self.bits_per_cell;
-            match self.stuck_slice(row, col, slice) {
-                None => {}
-                Some(Stuck::Gmin) => out &= !(cell_mask << shift),
-                Some(Stuck::Gmax) => out |= cell_mask << shift,
-            }
-        }
-        out
+        let cell = row * self.cols + col;
+        (code & !self.gmin[cell]) | self.gmax[cell]
     }
 
     /// Records one programming pulse on `(row, col)`: bumps wear (possibly
@@ -540,6 +575,64 @@ mod tests {
             (0..g.cols).any(|co| a.materialize(r, co, 0x5555) != c.materialize(r, co, 0x5555))
         });
         assert!(differs);
+    }
+
+    /// Applies the per-slice stuck decisions one slice at a time: the
+    /// reference the precomputed masks must reproduce.
+    fn materialize_by_slice(st: &MacFaultState, row: usize, col: usize, code: u32) -> u32 {
+        if st.worn_out(row, col) {
+            return 0;
+        }
+        let cell_mask = (1u32 << st.bits_per_cell) - 1;
+        let mut out = code;
+        for slice in 0..st.slices {
+            let shift = slice as u32 * st.bits_per_cell;
+            match st.stuck_slice(row, col, slice) {
+                None => {}
+                Some(Stuck::Gmin) => out &= !(cell_mask << shift),
+                Some(Stuck::Gmax) => out |= cell_mask << shift,
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn precomputed_masks_match_the_per_slice_hash() {
+        let g = MacGeometry::paper();
+        for seed in [1u64, 42, 0xBE05] {
+            for ber in [0.0, 1e-4, 0.05, 0.5, 1.0] {
+                for endurance in [0u64, 2] {
+                    let mut st = MacFaultState::new(
+                        model(|m| {
+                            m.seed = seed;
+                            m.mac_stuck_ber = ber;
+                            m.endurance = endurance;
+                        }),
+                        &g,
+                    );
+                    if endurance > 0 {
+                        // Wear out a diagonal so dead cells are checked too.
+                        for row in 0..g.rows {
+                            for _ in 0..=endurance {
+                                st.programmed(row, row % g.cols, 0);
+                            }
+                        }
+                    }
+                    for row in 0..g.rows {
+                        for col in 0..g.cols {
+                            for code in [0u32, 0x5555, 0xA5A5, 0xFFFF] {
+                                assert_eq!(
+                                    st.materialize(row, col, code),
+                                    materialize_by_slice(&st, row, col, code),
+                                    "seed {seed} ber {ber} endurance {endurance} \
+                                     ({row}, {col}) code {code:#x}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -188,6 +188,24 @@ impl HitVector {
         }
     }
 
+    /// In-place per-row majority vote with two more hit vectors of the same
+    /// length: a row stays set when at least two of the three vectors set
+    /// it. Word-wise, with no temporaries — how CAM double-checking masks a
+    /// transient upset in any one of three searches.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatch.
+    pub fn majority_with(&mut self, b: &HitVector, c: &HitVector) {
+        assert!(
+            self.len == b.len && self.len == c.len,
+            "hit vector length mismatch"
+        );
+        for ((a, &b), &c) in self.words.iter_mut().zip(&b.words).zip(&c.words) {
+            *a = (*a & b) | (*a & c) | (b & c);
+        }
+    }
+
     /// Streams the set rows in chunks of at most `chunk` indices without
     /// per-chunk allocation: each [`ChunkOnes::next_chunk`] call refills
     /// one internal buffer and lends it out.
@@ -211,42 +229,6 @@ impl HitVector {
             ones: self.iter_ones(),
             cap: chunk,
             buf: Vec::with_capacity(chunk),
-        }
-    }
-
-    /// Bitwise AND with another hit vector of the same length.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn and(&self, other: &HitVector) -> HitVector {
-        assert_eq!(self.len, other.len, "hit vector length mismatch");
-        HitVector {
-            len: self.len,
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a & b)
-                .collect(),
-        }
-    }
-
-    /// Bitwise OR with another hit vector of the same length.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn or(&self, other: &HitVector) -> HitVector {
-        assert_eq!(self.len, other.len, "hit vector length mismatch");
-        HitVector {
-            len: self.len,
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a | b)
-                .collect(),
         }
     }
 }
@@ -371,15 +353,30 @@ mod tests {
     }
 
     #[test]
-    fn in_place_ops_match_allocating_ops() {
+    fn in_place_ops_union_and_intersect() {
         let a = HitVector::from_indices(130, &[1, 2, 3, 64, 129]);
         let b = HitVector::from_indices(130, &[2, 3, 4, 129]);
         let mut ored = a.clone();
         ored.or_with(&b);
-        assert_eq!(ored, a.or(&b));
+        assert_eq!(ored, HitVector::from_indices(130, &[1, 2, 3, 4, 64, 129]));
         let mut anded = a.clone();
         anded.and_with(&b);
-        assert_eq!(anded, a.and(&b));
+        assert_eq!(anded, HitVector::from_indices(130, &[2, 3, 129]));
+    }
+
+    #[test]
+    fn majority_keeps_rows_set_in_two_of_three() {
+        let rows = 130;
+        let a = HitVector::from_indices(rows, &[1, 2, 3, 64, 129]);
+        let b = HitVector::from_indices(rows, &[2, 3, 4, 129]);
+        let c = HitVector::from_indices(rows, &[3, 4, 64, 100]);
+        let mut voted = a.clone();
+        voted.majority_with(&b, &c);
+        let want: Vec<usize> = (0..rows)
+            .filter(|&r| usize::from(a.get(r)) + usize::from(b.get(r)) + usize::from(c.get(r)) >= 2)
+            .collect();
+        assert_eq!(voted.iter_ones().collect::<Vec<_>>(), want);
+        assert_eq!(want, vec![2, 3, 4, 64, 129]);
     }
 
     #[test]
@@ -443,13 +440,6 @@ mod tests {
     #[should_panic(expected = "out of")]
     fn set_word_out_of_range_panics() {
         HitVector::new(64).set_word(1, 1);
-    }
-
-    #[test]
-    fn and_intersects() {
-        let a = HitVector::from_indices(10, &[1, 2, 3]);
-        let b = HitVector::from_indices(10, &[2, 3, 4]);
-        assert_eq!(a.and(&b).iter_ones().collect::<Vec<_>>(), vec![2, 3]);
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub struct MacCrossbar {
     input_bits: u32,
     /// Reused full-width output buffer for [`MacCrossbar::mac_col`] /
     /// [`MacCrossbar::mac_lines_into`] calls that must fall back to
-    /// evaluating every crossed line.
+    /// evaluating every crossed line (a sample is perturbed).
     col_scratch: Vec<u64>,
 }
 
@@ -329,10 +329,14 @@ impl MacCrossbar {
     /// accounting is exactly that of a full [`mac_into`](Self::mac_into)
     /// burst — one MAC op and the full complement of ADC samples. Only the
     /// *functional* evaluation is restricted, and only when it is safe:
-    /// with no noise model and no fault state attached each crossed line
-    /// is independent, so the one sum computed here is bit-identical to
-    /// the full burst's. When either is attached the full evaluation runs
-    /// instead, keeping the RNG draw sequence unchanged.
+    /// unless a sample is perturbed on read-out — a noise model, or fault
+    /// state with an ADC flip rate above 0
+    /// ([`MacFaultState::perturbs_samples`]) — each crossed line is
+    /// independent, so the one sum computed here is bit-identical to the
+    /// full burst's. Stuck and transient write faults already live in the
+    /// cell array, so they keep the restricted path. When a sample is
+    /// perturbed the full evaluation runs instead, keeping the RNG draw
+    /// sequence unchanged.
     ///
     /// # Errors
     ///
@@ -356,7 +360,7 @@ impl MacCrossbar {
             });
         }
         self.bill_op(active.len(), out_len);
-        if self.noise.is_some() || self.faults.is_some() {
+        if self.perturbs_samples() {
             let mut out = std::mem::take(&mut self.col_scratch);
             out.clear();
             out.resize(out_len, 0);
@@ -389,9 +393,11 @@ impl MacCrossbar {
     /// Like [`mac_col`](Self::mac_col), the analog array still evaluates
     /// every crossed line, so the cost accounting is exactly that of a
     /// full burst. Only the functional evaluation is restricted, and only
-    /// when no noise model and no fault state is attached (each crossed
-    /// line is then independent); otherwise the full evaluation runs so
-    /// the RNG draw sequence stays identical to [`mac_into`](Self::mac_into).
+    /// when no sample is perturbed on read-out (no noise model, and no
+    /// ADC flips — see [`MacFaultState::perturbs_samples`]; each crossed
+    /// line is then independent, stuck cells included); otherwise the
+    /// full evaluation runs so the RNG draw sequence stays identical to
+    /// [`mac_into`](Self::mac_into).
     ///
     /// # Errors
     ///
@@ -423,7 +429,7 @@ impl MacCrossbar {
             }
         }
         self.bill_op(active.len(), out_len);
-        if self.noise.is_some() || self.faults.is_some() {
+        if self.perturbs_samples() {
             let mut full = std::mem::take(&mut self.col_scratch);
             full.clear();
             full.resize(out_len, 0);
@@ -455,6 +461,16 @@ impl MacCrossbar {
             }
         }
         Ok(())
+    }
+
+    /// Whether a read-out perturbs samples (noise, or ADC flips), which
+    /// draws from an RNG per sample and so forces full evaluation.
+    fn perturbs_samples(&self) -> bool {
+        self.noise.is_some()
+            || self
+                .faults
+                .as_ref()
+                .is_some_and(MacFaultState::perturbs_samples)
     }
 
     /// Shared argument validation for MAC bursts; returns the crossed-line
@@ -581,9 +597,9 @@ impl MacCrossbar {
         // gaasx-lint: end-hot
     }
 
-    /// One crossed line of [`mac_quantized`](Self::mac_quantized) with no
-    /// noise or fault state attached (so no RNG is consumed): identical
-    /// bit-slicing and ADC saturation, restricted to slot `o`.
+    /// One crossed line of [`mac_quantized`](Self::mac_quantized) when no
+    /// sample is perturbed (so no RNG is consumed): identical bit-slicing
+    /// and ADC saturation, restricted to slot `o`.
     fn quantized_line_clean(
         &self,
         direction: MacDirection,
@@ -915,6 +931,9 @@ mod tests {
             .mac_col(MacDirection::RowsToColumns, &[0], &[0x1234], 0)
             .unwrap();
         assert_eq!(b2, a2[0]);
+        // Same draws, same injected flips.
+        assert!(full.fault_stats().unwrap().adc_flips > 0);
+        assert_eq!(single.fault_stats(), full.fault_stats());
     }
 
     #[test]
@@ -1001,6 +1020,70 @@ mod tests {
             .mac_lines_into(MacDirection::RowsToColumns, &[0], &[0x1234], &[0], &mut b2)
             .unwrap();
         assert_eq!(b2, vec![a2[0]]);
+        assert!(full.fault_stats().unwrap().adc_flips > 0);
+        assert_eq!(lines.fault_stats(), full.fault_stats());
+    }
+
+    #[test]
+    fn restricted_read_outs_match_full_bursts_under_stored_faults() {
+        use crate::fault::{FaultModel, MacFaultState};
+        let g = MacGeometry::paper();
+        let models = [
+            FaultModel {
+                seed: 5,
+                mac_stuck_ber: 0.05,
+                ..FaultModel::none()
+            },
+            FaultModel {
+                seed: 6,
+                write_fail_rate: 0.2,
+                ..FaultModel::none()
+            },
+            FaultModel {
+                seed: 7,
+                mac_stuck_ber: 1e-2,
+                write_fail_rate: 1e-2,
+                endurance: 3,
+                ..FaultModel::none()
+            },
+        ];
+        for model in models {
+            for fidelity in [Fidelity::Exact, Fidelity::Quantized] {
+                let mut full = MacCrossbar::new(g, fidelity);
+                let mut part = MacCrossbar::new(g, fidelity);
+                for m in [&mut full, &mut part] {
+                    m.set_faults(Some(MacFaultState::new(model, &g)));
+                    for row in 0..g.rows {
+                        let codes: Vec<u32> = (0..g.cols as u32)
+                            .map(|c| (row as u32 * 0x9E37 + c * 0x79B9) & 0xFFFF)
+                            .collect();
+                        m.write_row(row, &codes).unwrap();
+                    }
+                }
+                assert!(!part.faults.as_ref().unwrap().perturbs_samples());
+                for (direction, active) in [
+                    (MacDirection::RowsToColumns, vec![0usize, 7, 31, 64, 127]),
+                    (MacDirection::ColumnsToRows, vec![0usize, 3, 15]),
+                ] {
+                    let inputs: Vec<u32> =
+                        (0..active.len() as u32).map(|i| 0x1357 * (i + 1)).collect();
+                    let mut want = Vec::new();
+                    full.mac_into(direction, &active, &inputs, &mut want)
+                        .unwrap();
+                    for (line, &w) in want.iter().enumerate() {
+                        let got = part.mac_col(direction, &active, &inputs, line).unwrap();
+                        assert_eq!(got, w, "{model:?} {fidelity:?} {direction:?} line {line}");
+                    }
+                    let lines: Vec<usize> = (0..want.len()).rev().step_by(3).collect();
+                    let mut got = Vec::new();
+                    part.mac_lines_into(direction, &active, &inputs, &lines, &mut got)
+                        .unwrap();
+                    let picked: Vec<u64> = lines.iter().map(|&l| want[l]).collect();
+                    assert_eq!(got, picked, "{model:?} {fidelity:?} {direction:?}");
+                }
+                assert_eq!(part.fault_stats(), full.fault_stats());
+            }
+        }
     }
 
     #[test]
